@@ -4,14 +4,19 @@
 
 GO ?= go
 
-.PHONY: build check vet lint lint-json race bench bench-smoke bench-json bench-matrix matrix-smoke fault-sweep fault-sweep-unaligned
+.PHONY: build check vet lint lint-json race bench bench-compare bench-micro bench-smoke bench-json bench-matrix matrix-smoke fault-sweep fault-sweep-unaligned
 
 build:
 	$(GO) build ./...
 
-# check is the tier-1 gate: everything must build and pass.
+# check is the tier-1 gate: everything must build and pass. bench/ is a
+# module of its own that calls into internal/ (see bench/README.md), so it
+# is vetted and tested here too: an API change that would stop the
+# repository's benchmark from building fails the gate, not the next PR's
+# measurement.
 check: build
 	$(GO) test -p 1 ./...
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 vet:
 	$(GO) vet ./...
@@ -47,7 +52,20 @@ race: vet
 	$(GO) test -race -timeout 20m $(RACE_PARALLEL)
 	$(GO) test -race -p 1 -timeout 20m $(RACE_SERIAL)
 
+# bench runs the repository's benchmark (BENCHMARK.json): every workload,
+# untraced then traced, table on stdout and bench/out/set.json. For one
+# workload or more runs call bench/run.sh itself (see bench/README.md).
 bench:
+	bash bench/run.sh
+
+# bench-compare holds two set.json files (kept from two `make bench` runs)
+# against each other, cell by cell, using the bounds in BENCHMARK.json:
+# `make bench-compare A=parent.json B=change.json`.
+bench-compare:
+	bash bench/run.sh -compare $(A) $(B)
+
+# bench-micro runs the go-test micro-benchmarks of every package.
+bench-micro:
 	$(GO) test -bench=. -benchmem -run '^$$' ./...
 
 # bench-smoke compiles and runs every benchmark exactly once so benches

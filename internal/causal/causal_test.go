@@ -1,8 +1,10 @@
 package causal
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -15,6 +17,62 @@ func task(v, s int32) types.TaskID {
 
 func chid(e, f, t int32) types.ChannelID {
 	return types.ChannelID{Edge: types.EdgeID(e), From: f, To: t}
+}
+
+// decodeDeterminant decodes one determinant from b, returning it and the
+// bytes consumed.
+func decodeDeterminant(b []byte) (Determinant, int, error) {
+	rd := deltaReader{b: b, left: 1}
+	var d Determinant
+	rd.next(&d, true)
+	return d, rd.i, rd.err
+}
+
+// EncodeDelta is the reference encoder of the delta wire format: it
+// serializes forward sets the way every release so far has, and the tests
+// hold Manager.DeltaFor's direct encoding to it byte for byte.
+func EncodeDelta(dst []byte, sets []ForwardSet) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(sets)))
+	for _, fs := range sets {
+		dst = binary.AppendVarint(dst, int64(fs.Origin.Vertex))
+		dst = binary.AppendVarint(dst, int64(fs.Origin.Subtask))
+		dst = binary.AppendUvarint(dst, uint64(fs.Hops))
+		dst = binary.AppendUvarint(dst, uint64(len(fs.Logs)))
+		keys := make([]LogKey, 0, len(fs.Logs))
+		for k := range fs.Logs {
+			keys = append(keys, k)
+		}
+		sort.Slice(keys, func(i, j int) bool {
+			a, b := keys[i], keys[j]
+			if a.Main != b.Main {
+				return a.Main
+			}
+			if a.Channel.Edge != b.Channel.Edge {
+				return a.Channel.Edge < b.Channel.Edge
+			}
+			if a.Channel.From != b.Channel.From {
+				return a.Channel.From < b.Channel.From
+			}
+			return a.Channel.To < b.Channel.To
+		})
+		for _, key := range keys {
+			run := fs.Logs[key]
+			if key.Main {
+				dst = append(dst, 1)
+			} else {
+				dst = append(dst, 0)
+				dst = binary.AppendVarint(dst, int64(key.Channel.Edge))
+				dst = binary.AppendVarint(dst, int64(key.Channel.From))
+				dst = binary.AppendVarint(dst, int64(key.Channel.To))
+			}
+			dst = binary.AppendUvarint(dst, run.Start)
+			dst = binary.AppendUvarint(dst, uint64(len(run.Ents)))
+			for _, d := range run.Ents {
+				dst = d.Append(dst)
+			}
+		}
+	}
+	return dst
 }
 
 func sampleDeterminants() []Determinant {
@@ -87,6 +145,13 @@ func TestQuickServiceDeterminantRoundTrip(t *testing.T) {
 	}
 }
 
+// logSince returns the entries an own log would send a cursor at abs, and
+// the index of the first.
+func logSince(l *Log, abs uint64) ([]Determinant, uint64) {
+	abs = max(abs, l.Base())
+	return l.r.from(abs), abs
+}
+
 func TestLogAppendSinceTruncate(t *testing.T) {
 	l := NewLog()
 	l.StartEpoch(1)
@@ -95,10 +160,10 @@ func TestLogAppendSinceTruncate(t *testing.T) {
 	l.StartEpoch(2)
 	l.Append(Determinant{Kind: KindOrder, Channel: 2})
 
-	if l.End() != 5 || l.Base() != 0 {
-		t.Fatalf("end=%d base=%d", l.End(), l.Base())
+	if l.Len() != 5 || l.Base() != 0 {
+		t.Fatalf("len=%d base=%d", l.Len(), l.Base())
 	}
-	ents, start := l.Since(3)
+	ents, start := logSince(l, 3)
 	if start != 3 || len(ents) != 2 || ents[0].Kind != KindEpoch {
 		t.Fatalf("Since(3) = %v at %d", ents, start)
 	}
@@ -110,7 +175,7 @@ func TestLogAppendSinceTruncate(t *testing.T) {
 		t.Fatalf("after truncate base=%d len=%d", l.Base(), l.Len())
 	}
 	// Absolute indexing survives truncation.
-	ents, start = l.Since(0)
+	ents, start = logSince(l, 0)
 	if start != 3 || len(ents) != 2 {
 		t.Fatalf("Since(0) after truncate = %v at %d", ents, start)
 	}

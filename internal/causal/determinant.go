@@ -148,85 +148,3 @@ func (d Determinant) Append(dst []byte) []byte {
 	}
 	return dst
 }
-
-// decodeDeterminant decodes one determinant from b, returning it and the
-// bytes consumed.
-func decodeDeterminant(b []byte) (Determinant, int, error) {
-	if len(b) == 0 {
-		return Determinant{}, 0, fmt.Errorf("causal: empty determinant")
-	}
-	d := Determinant{Kind: Kind(b[0])}
-	i := 1
-	uv := func() (uint64, error) {
-		v, n := binary.Uvarint(b[i:])
-		if n <= 0 {
-			return 0, fmt.Errorf("causal: truncated determinant")
-		}
-		i += n
-		return v, nil
-	}
-	sv := func() (int64, error) {
-		v, n := binary.Varint(b[i:])
-		if n <= 0 {
-			return 0, fmt.Errorf("causal: truncated determinant")
-		}
-		i += n
-		return v, nil
-	}
-	var err error
-	switch d.Kind {
-	case KindEpoch:
-		var e uint64
-		if e, err = uv(); err == nil {
-			d.Epoch = types.EpochID(e)
-		}
-	case KindOrder:
-		var c int64
-		if c, err = sv(); err == nil {
-			d.Channel = int32(c)
-		}
-	case KindTimer:
-		var h int64
-		if h, err = sv(); err != nil {
-			break
-		}
-		d.Handler = int32(h)
-		if d.Key, err = uv(); err != nil {
-			break
-		}
-		if d.When, err = sv(); err != nil {
-			break
-		}
-		d.Offset, err = uv()
-	case KindTimestamp, KindRNG, KindBufferSize:
-		d.Value, err = sv()
-	case KindService:
-		var id, n uint64
-		if id, err = uv(); err != nil {
-			break
-		}
-		d.ServiceID = uint16(id)
-		if n, err = uv(); err != nil {
-			break
-		}
-		if uint64(len(b)-i) < n {
-			err = fmt.Errorf("causal: truncated service payload")
-			break
-		}
-		d.Payload = append([]byte(nil), b[i:i+int(n)]...)
-		i += int(n)
-	case KindRPC:
-		var e uint64
-		if e, err = uv(); err != nil {
-			break
-		}
-		d.Epoch = types.EpochID(e)
-		d.Offset, err = uv()
-	default:
-		err = fmt.Errorf("causal: unknown determinant kind %d", b[0])
-	}
-	if err != nil {
-		return Determinant{}, 0, err
-	}
-	return d, i, nil
-}

@@ -1,45 +1,105 @@
 package causal
 
 import (
+	"encoding/binary"
 	"sync"
 
 	"clonos/internal/types"
 )
+
+// run is one contiguous, append-only stretch of a determinant log with
+// absolute indexing and an index of its EPOCH markers: the storage behind
+// both a task's own Logs and the segments of a replicaLog. Appending is
+// amortized O(1) and truncating is O(1): the cut only advances off, and
+// the live part slides back to the front of buf once the dead prefix has
+// outgrown it, so a log in steady state stops allocating. Slices returned
+// by from alias buf and are valid only until the next append or truncate.
+type run struct {
+	base uint64 // absolute index of the oldest retained entry, buf[off]
+	buf  []Determinant
+	off  int // truncated entries still occupying the front of buf
+	// epochAt maps an epoch to the absolute index of its EPOCH marker.
+	epochAt map[types.EpochID]uint64
+}
+
+func newRun(base uint64) run {
+	return run{base: base, epochAt: make(map[types.EpochID]uint64)}
+}
+
+func (r *run) len() int    { return len(r.buf) - r.off }
+func (r *run) end() uint64 { return r.base + uint64(r.len()) }
+
+// from returns the entries with absolute index >= abs; base <= abs <= end.
+func (r *run) from(abs uint64) []Determinant {
+	return r.buf[r.off+int(abs-r.base):]
+}
+
+func (r *run) append(d Determinant) uint64 {
+	idx := r.end()
+	if d.Kind == KindEpoch {
+		r.epochAt[d.Epoch] = idx
+	}
+	r.buf = append(r.buf, d)
+	return idx
+}
+
+// truncateTo drops the entries below cut; base < cut <= end.
+func (r *run) truncateTo(cut uint64) {
+	r.off += int(cut - r.base)
+	r.base = cut
+	if live := r.len(); r.off > live {
+		copy(r.buf, r.buf[r.off:])
+		clear(r.buf[live:]) // let go of the moved and dead entries' payloads
+		r.buf = r.buf[:live]
+		r.off = 0
+	}
+	for e, idx := range r.epochAt {
+		if idx < cut {
+			delete(r.epochAt, e)
+		}
+	}
+}
+
+// appendSince encodes the entries with absolute index >= abs (clamped to
+// the oldest retained) onto dst in the delta wire format's run layout —
+// firstAbs, n, n determinants — and returns how many entries that was.
+func (r *run) appendSince(dst []byte, abs uint64) ([]byte, int) {
+	if abs < r.base {
+		abs = r.base
+	}
+	ents := r.from(abs)
+	dst = binary.AppendUvarint(dst, abs)
+	dst = binary.AppendUvarint(dst, uint64(len(ents)))
+	for i := range ents {
+		dst = ents[i].Append(dst)
+	}
+	return dst, len(ents)
+}
 
 // Log is one append-only determinant log with absolute indexing. Each task
 // keeps one Log for its main thread and one per output channel (§4.3).
 // Entries carry absolute indices that survive truncation, so per-consumer
 // sharing cursors and replicated copies stay consistent.
 type Log struct {
-	mu   sync.Mutex
-	base uint64 // absolute index of entries[0]
-	ents []Determinant
-	// epochAt maps an epoch to the absolute index of its EPOCH marker.
-	epochAt map[types.EpochID]uint64
+	mu sync.Mutex
+	r  run
 }
 
 // NewLog creates an empty log whose next entry has absolute index 0.
-func NewLog() *Log {
-	return &Log{epochAt: make(map[types.EpochID]uint64)}
-}
+func NewLog() *Log { return NewLogAt(0) }
 
 // NewLogAt creates an empty log whose next entry has the given absolute
 // index; recovery seeds a standby's log at the predecessor's epoch-start
 // index so re-appended determinants land on identical positions.
 func NewLogAt(base uint64) *Log {
-	return &Log{base: base, epochAt: make(map[types.EpochID]uint64)}
+	return &Log{r: newRun(base)}
 }
 
 // Append adds a determinant and returns its absolute index.
 func (l *Log) Append(d Determinant) uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	idx := l.base + uint64(len(l.ents))
-	if d.Kind == KindEpoch {
-		l.epochAt[d.Epoch] = idx
-	}
-	l.ents = append(l.ents, d)
-	return idx
+	return l.r.append(d)
 }
 
 // StartEpoch appends the boundary marker for the given epoch.
@@ -51,38 +111,36 @@ func (l *Log) StartEpoch(e types.EpochID) uint64 {
 func (l *Log) Base() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.base
-}
-
-// End returns the absolute index one past the newest entry.
-func (l *Log) End() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.base + uint64(len(l.ents))
+	return l.r.base
 }
 
 // Len reports the number of retained entries.
 func (l *Log) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.ents)
+	return l.r.len()
 }
 
-// Since returns a copy of the entries with absolute index >= abs, together
-// with the absolute index of the first returned entry (== max(abs, base)).
-func (l *Log) Since(abs uint64) ([]Determinant, uint64) {
+// unsent reports how many entries have absolute index >= abs.
+func (l *Log) unsent(abs uint64) int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if abs < l.base {
-		abs = l.base
+	if abs < l.r.base {
+		abs = l.r.base
 	}
-	off := abs - l.base
-	if off >= uint64(len(l.ents)) {
-		return nil, l.base + uint64(len(l.ents))
+	if abs >= l.r.end() {
+		return 0
 	}
-	out := make([]Determinant, len(l.ents)-int(off))
-	copy(out, l.ents[off:])
-	return out, abs
+	return int(l.r.end() - abs)
+}
+
+// appendSince is run.appendSince under the log's lock; it also returns
+// the absolute index one past the last entry encoded.
+func (l *Log) appendSince(dst []byte, abs uint64) ([]byte, int, uint64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	dst, n := l.r.appendSince(dst, abs)
+	return dst, n, l.r.end()
 }
 
 // EpochStart returns the absolute index of the EPOCH marker for e, if the
@@ -90,7 +148,7 @@ func (l *Log) Since(abs uint64) ([]Determinant, uint64) {
 func (l *Log) EpochStart(e types.EpochID) (uint64, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	idx, ok := l.epochAt[e]
+	idx, ok := l.r.epochAt[e]
 	return idx, ok
 }
 
@@ -101,16 +159,7 @@ func (l *Log) EpochStart(e types.EpochID) (uint64, bool) {
 func (l *Log) Truncate(upTo types.EpochID) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	cut, ok := l.epochAt[upTo+1]
-	if !ok || cut <= l.base {
-		return
-	}
-	n := cut - l.base
-	l.ents = append(l.ents[:0:0], l.ents[n:]...)
-	l.base = cut
-	for e, idx := range l.epochAt {
-		if idx < cut {
-			delete(l.epochAt, e)
-		}
+	if cut, ok := l.r.epochAt[upTo+1]; ok && cut > l.r.base {
+		l.r.truncateTo(cut)
 	}
 }

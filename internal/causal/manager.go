@@ -1,6 +1,7 @@
 package causal
 
 import (
+	"encoding/binary"
 	"sync"
 
 	"clonos/internal/obs"
@@ -33,44 +34,57 @@ type Manager struct {
 	mu       sync.Mutex
 	main     *Log
 	channels map[types.ChannelID]*Log
+	// own lists the task's logs as its set of a delta does: the main
+	// log, then the channel logs by key — fixed as each log is created.
+	own      []ownLog
 	replicas *Store
 	// cursors[downstreamChannel] tracks what has been shared on that
-	// channel: next absolute index per own log and per replica log.
+	// channel: the next absolute index of each own and replica log.
 	cursors map[types.ChannelID]*cursorSet
 	// externalCursors track sharing with external output systems (§5.5
 	// exactly-once output): sink tasks piggyback their main-log deltas
 	// on records written to e.g. Kafka.
 	externalCursors map[string]uint64
-	// encScratch is the reused delta-encode buffer (guarded by mu).
-	// Deltas are encoded into it first, then copied out right-sized: the
-	// returned slice is retained by in-flight log entries and aliased by
-	// wire messages, so it must be private, but the growth churn of
-	// building it from nil is amortized away.
+	// encScratch is the reused delta-encode buffer and unsent the reused
+	// list of what the delta under construction will carry (both guarded
+	// by mu). Deltas are encoded into the scratch first, then copied out
+	// right-sized: the returned slice is retained by in-flight log
+	// entries and aliased by wire messages, so it must be private, but
+	// the growth churn of building it from nil is amortized away.
 	encScratch []byte
+	unsent     []unsentLog
 
 	appended     *obs.Counter
 	deltaEntries *obs.Counter
 	deltaBytes   *obs.Counter
 }
 
+type ownLog struct {
+	key LogKey
+	log *Log
+}
+
 type cursorSet struct {
-	own      map[LogKey]uint64
-	replicas map[types.TaskID]map[LogKey]uint64
+	own      map[*Log]uint64
+	replicas map[*replicaLog]uint64
+}
+
+// unsentLog is one log holding entries a delta's receiver has not been
+// sent: an own log, or a replica log (of rep) to forward from.
+type unsentLog struct {
+	key  LogKey
+	own  *Log
+	rep  *Replica
+	rlog *replicaLog
 }
 
 // NewManager creates the causal subsystem for task self with the given
 // determinant sharing depth. DSD 0 disables sharing entirely
 // (at-least-once mode, §5.4).
 func NewManager(self types.TaskID, dsd int) *Manager {
-	return &Manager{
-		self:            self,
-		dsd:             dsd,
-		main:            NewLog(),
-		channels:        make(map[types.ChannelID]*Log),
-		replicas:        NewStore(),
-		cursors:         make(map[types.ChannelID]*cursorSet),
-		externalCursors: make(map[string]uint64),
-	}
+	m := &Manager{self: self, dsd: dsd, replicas: NewStore()}
+	m.SeedForRecovery(0, nil) // a new task's logs start at index 0
+	return m
 }
 
 // Instrument attaches metrics: Appended to this manager's own-log
@@ -88,16 +102,13 @@ func (m *Manager) Instrument(mx ManagerMetrics) {
 // task's own logs (main + channel) and its replica store.
 func (m *Manager) SizeEntries() int {
 	m.mu.Lock()
-	n := m.main.Len()
-	for _, l := range m.channels {
-		n += l.Len()
+	n := 0
+	for _, l := range m.own {
+		n += l.log.Len()
 	}
 	m.mu.Unlock()
 	return n + m.replicas.SizeEntries()
 }
-
-// Self returns the owning task.
-func (m *Manager) Self() types.TaskID { return m.self }
 
 // DSD returns the configured determinant sharing depth.
 func (m *Manager) DSD() int { return m.dsd }
@@ -111,9 +122,18 @@ func (m *Manager) Channel(id types.ChannelID) *Log {
 	defer m.mu.Unlock()
 	l, ok := m.channels[id]
 	if !ok {
-		l = NewLog()
-		m.channels[id] = l
+		l = m.addChannelLocked(id, 0)
 	}
+	return l
+}
+
+func (m *Manager) addChannelLocked(id types.ChannelID, base uint64) *Log {
+	l := NewLogAt(base)
+	m.channels[id] = l
+	key := ChannelLogKey(id)
+	m.own = insertSorted(m.own, key, ownLog{key: key, log: l}, func(o ownLog, k LogKey) int {
+		return compareKeys(o.key, k)
+	})
 	return l
 }
 
@@ -128,9 +148,10 @@ func (m *Manager) SeedForRecovery(mainStart uint64, channelStarts map[types.Chan
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.main = NewLogAt(mainStart)
+	m.own = []ownLog{{key: MainLogKey, log: m.main}}
 	m.channels = make(map[types.ChannelID]*Log)
 	for id, start := range channelStarts {
-		m.channels[id] = NewLogAt(start)
+		m.addChannelLocked(id, start)
 	}
 	// Conservatively forget sharing cursors: all retained entries are
 	// re-shared; replicas deduplicate by absolute index.
@@ -148,109 +169,116 @@ func (m *Manager) DeltaForExternal(consumer string) []byte {
 		return nil
 	}
 	m.mu.Lock()
-	from := m.externalCursors[consumer]
-	m.mu.Unlock()
-	ents, start := m.main.Since(from)
-	if len(ents) == 0 {
+	defer m.mu.Unlock()
+	if m.main.unsent(m.externalCursors[consumer]) == 0 {
 		return nil
 	}
-	m.mu.Lock()
-	m.externalCursors[consumer] = start + uint64(len(ents))
-	m.mu.Unlock()
-	return m.encodeDelta([]ForwardSet{{
-		Origin: m.self,
-		Hops:   1,
-		Logs:   map[LogKey]Run{MainLogKey: {Start: start, Ents: ents}},
-	}})
+	dst := append(m.encScratch[:0], 1) // one set
+	dst = appendLogKey(appendSetHeader(dst, m.self, 1, 1), MainLogKey)
+	dst, n, next := m.main.appendSince(dst, m.externalCursors[consumer])
+	m.externalCursors[consumer] = next
+	return m.finishDelta(dst, n)
 }
 
-// encodeDelta serializes sets via the reused scratch buffer and returns a
-// private right-sized copy (one exact allocation instead of append-growth
-// doubling).
-func (m *Manager) encodeDelta(sets []ForwardSet) []byte {
-	ents := 0
-	for _, fs := range sets {
-		for _, run := range fs.Logs {
-			ents += len(run.Ents)
-		}
-	}
-	m.mu.Lock()
-	m.encScratch = EncodeDelta(m.encScratch[:0], sets)
-	out := append(make([]byte, 0, len(m.encScratch)), m.encScratch...)
+// finishDelta keeps the encode scratch for the next delta and returns a
+// private right-sized copy of what was encoded into it (one exact
+// allocation instead of append-growth doubling).
+func (m *Manager) finishDelta(enc []byte, ents int) []byte {
+	m.encScratch = enc
 	m.deltaEntries.Add(uint64(ents))
-	m.deltaBytes.Add(uint64(len(out)))
-	m.mu.Unlock()
-	return out
+	m.deltaBytes.Add(uint64(len(enc)))
+	return append(make([]byte, 0, len(enc)), enc...)
 }
 
 // DeltaFor assembles and serializes the causal delta to piggyback on the
 // next buffer dispatched to the given downstream channel, advancing the
-// channel's cursors. Returns nil when DSD is 0 or nothing is new.
+// channel's cursors. Returns nil when DSD is 0 or nothing is new. It
+// encodes straight from the logs: O(entries sent), and no allocation but
+// the returned delta.
 func (m *Manager) DeltaFor(down types.ChannelID) []byte {
 	if m.dsd <= 0 {
 		return nil
 	}
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	cs, ok := m.cursors[down]
 	if !ok {
-		cs = &cursorSet{own: make(map[LogKey]uint64), replicas: make(map[types.TaskID]map[LogKey]uint64)}
+		cs = &cursorSet{own: make(map[*Log]uint64), replicas: make(map[*replicaLog]uint64)}
 		m.cursors[down] = cs
 	}
-	// Own logs: main + every output-channel log (the paper replicates
-	// all of them to every downstream, §4.3).
-	own := ForwardSet{Origin: m.self, Hops: 1, Logs: make(map[LogKey]Run)}
-	if ents, start := m.main.Since(cs.own[MainLogKey]); len(ents) > 0 {
-		own.Logs[MainLogKey] = Run{Start: start, Ents: ents}
-		cs.own[MainLogKey] = start + uint64(len(ents))
-	}
-	for id, l := range m.channels {
-		key := ChannelLogKey(id)
-		if ents, start := l.Since(cs.own[key]); len(ents) > 0 {
-			own.Logs[key] = Run{Start: start, Ents: ents}
-			cs.own[key] = start + uint64(len(ents))
+	// The wire format counts sets and logs ahead of their contents, so
+	// first list what has something unsent. Own logs: main + every
+	// output-channel log (the paper replicates all of them to every
+	// downstream, §4.3).
+	todo := m.unsent[:0]
+	for _, o := range m.own {
+		if o.log.unsent(cs.own[o.log]) > 0 {
+			todo = append(todo, unsentLog{key: o.key, own: o.log})
 		}
 	}
-	m.mu.Unlock()
-
-	sets := m.replicas.ForwardableSince(m.dsd, cs.replicas)
-	m.mu.Lock()
-	for _, fs := range sets {
-		rc, ok := cs.replicas[fs.Origin]
-		if !ok {
-			rc = make(map[LogKey]uint64)
-			cs.replicas[fs.Origin] = rc
-		}
-		for key, run := range fs.Logs {
-			rc[key] = run.Start + uint64(len(run.Ents))
+	sets := min(len(todo), 1)
+	if m.dsd > 1 {
+		// Replicas are only ever forwarded at DSD > 1 (Hops >= 1). The
+		// store stays locked until their entries are encoded.
+		m.replicas.mu.Lock()
+		defer m.replicas.mu.Unlock()
+		for _, rep := range m.replicas.order {
+			if rep.Hops >= m.dsd {
+				continue
+			}
+			before := len(todo)
+			for _, rl := range rep.order {
+				if run, _ := rl.since(cs.replicas[rl]); run != nil {
+					todo = append(todo, unsentLog{key: rl.key, rep: rep, rlog: rl})
+				}
+			}
+			if len(todo) > before {
+				sets++
+			}
 		}
 	}
-	m.mu.Unlock()
-
-	if len(own.Logs) > 0 {
-		sets = append([]ForwardSet{own}, sets...)
-	}
-	if len(sets) == 0 {
+	m.unsent = todo
+	if sets == 0 {
 		return nil
 	}
-	return m.encodeDelta(sets)
+
+	dst := binary.AppendUvarint(m.encScratch[:0], uint64(sets))
+	ents := 0
+	for i, u := range todo {
+		if i == 0 || u.rep != todo[i-1].rep {
+			logs := 1
+			for logs < len(todo)-i && todo[i+logs].rep == u.rep {
+				logs++
+			}
+			if u.rep == nil {
+				dst = appendSetHeader(dst, m.self, 1, logs)
+			} else {
+				dst = appendSetHeader(dst, u.rep.Origin, u.rep.Hops+1, logs)
+			}
+		}
+		dst = appendLogKey(dst, u.key)
+		var n int
+		if u.own != nil {
+			dst, n, cs.own[u.own] = u.own.appendSince(dst, cs.own[u.own])
+		} else {
+			run, from := u.rlog.since(cs.replicas[u.rlog])
+			dst, n = run.appendSince(dst, from)
+			cs.replicas[u.rlog] = run.end()
+		}
+		ents += n
+	}
+	return m.finishDelta(dst, ents)
 }
 
 // Ingest merges a received delta into the replica store. The task runtime
-// calls this before processing the records of the carrying buffer.
+// calls this exactly once per received buffer, as the buffer is accepted
+// (or preloaded from a restored snapshot) and so before its records are
+// processed.
 func (m *Manager) Ingest(delta []byte) error {
 	if len(delta) == 0 {
 		return nil
 	}
-	sets, err := DecodeDelta(delta)
-	if err != nil {
-		return err
-	}
-	for _, fs := range sets {
-		for key, run := range fs.Logs {
-			m.replicas.Ingest(fs.Origin, fs.Hops, key, run.Start, run.Ents)
-		}
-	}
-	return nil
+	return m.replicas.IngestDelta(delta)
 }
 
 // StartEpochMain appends the epoch marker to the main-thread log.
@@ -270,15 +298,10 @@ func (m *Manager) StartEpochChannel(id types.ChannelID, e types.EpochID) {
 // logs and its replicas, after checkpoint upTo completes.
 func (m *Manager) Truncate(upTo types.EpochID) {
 	m.mu.Lock()
-	logs := make([]*Log, 0, len(m.channels)+1)
-	logs = append(logs, m.main)
-	for _, l := range m.channels {
-		logs = append(logs, l)
+	for _, o := range m.own {
+		o.log.Truncate(upTo)
 	}
 	m.mu.Unlock()
-	for _, l := range logs {
-		l.Truncate(upTo)
-	}
 	m.replicas.Truncate(upTo)
 }
 

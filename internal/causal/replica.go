@@ -1,145 +1,191 @@
 package causal
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 
 	"clonos/internal/obs"
 	"clonos/internal/types"
 )
 
-// LogKey identifies one log of a task: its main-thread log or the log of
-// one of its output channels.
-type LogKey struct {
-	Main    bool
-	Channel types.ChannelID
-}
-
-// MainLogKey is the key of a task's main-thread log.
-var MainLogKey = LogKey{Main: true}
-
-// ChannelLogKey returns the key of an output channel's log.
-func ChannelLogKey(id types.ChannelID) LogKey { return LogKey{Channel: id} }
-
-// segment is a contiguous run of determinants with absolute indexing.
-type segment struct {
-	start uint64
-	ents  []Determinant
-}
-
-func (s segment) end() uint64 { return s.start + uint64(len(s.ents)) }
-
-// replicaLog stores possibly discontiguous received pieces of one log,
-// merged into sorted non-overlapping segments. Diamond topologies with
-// DSD > 1 can deliver overlapping or out-of-order ranges of the same
-// origin log along different paths.
+// replicaLog is a task's copy of one log of an upstream origin. In the
+// common case it is a single run that every received delta extends in
+// place. Diamond topologies with DSD > 1 can deliver overlapping or
+// out-of-order ranges of the same origin log along different paths, so in
+// general it is a sorted set of disjoint, non-adjacent runs, and a range
+// that does not start inside or at the end of the newest run is merged in.
 type replicaLog struct {
-	segs []segment
+	key LogKey
+	// floor is the last truncation cut. Entries below it belong to
+	// completed epochs and are not taken in again (a recovered sender
+	// re-shares everything it retains).
+	floor uint64
+	// done is the highest epoch a truncation asked to drop. The marker of
+	// done+1, where that cut falls, reaches a holder with the first buffer
+	// after the checkpoint — after the truncation — so took retries the cut.
+	done types.EpochID
+	segs []run
 }
 
-// insert merges a new run into the segment set.
-func (r *replicaLog) insert(start uint64, ents []Determinant) {
-	if len(ents) == 0 {
-		return
+// target picks where the range [start, start+n) goes: the run to append
+// its entries to, after dropping the first skip of them (truncated, or
+// held already). A fresh run is one not in segs yet — a gap or an
+// out-of-order arrival — which the caller fills and hands to merge.
+func (r *replicaLog) target(start, n uint64) (t *run, skip uint64, fresh bool) {
+	if start < r.floor {
+		skip = min(r.floor-start, n)
 	}
-	in := segment{start: start, ents: append([]Determinant(nil), ents...)}
-	var merged []segment
+	first := start + skip
+	if k := len(r.segs); k > 0 {
+		if t = &r.segs[k-1]; t.base <= first && first <= t.end() {
+			return t, min(t.end()-start, n), false
+		}
+	}
+	if skip == n {
+		return nil, n, false
+	}
+	nr := newRun(first)
+	return &nr, skip, true
+}
+
+// insert merges a received range given as a slice.
+func (r *replicaLog) insert(start uint64, ents []Determinant) {
+	t, skip, fresh := r.target(start, uint64(len(ents)))
+	for _, d := range ents[skip:] {
+		t.append(d)
+	}
+	r.took(t, fresh)
+}
+
+// ingest merges the range rd is positioned at, decoding only the entries
+// it does not hold yet, straight into the run that keeps them.
+func (r *replicaLog) ingest(rd *deltaReader) {
+	t, skip, fresh := r.target(rd.start, rd.n)
+	rd.skip(skip)
+	var d Determinant
+	for i := skip; i < rd.n; i++ {
+		rd.next(&d, true)
+		t.append(d)
+	}
+	r.took(t, fresh)
+}
+
+// took finishes taking a range into t: a fresh run joins the set, and a
+// truncation that came before its marker is made once the marker is in.
+func (r *replicaLog) took(t *run, fresh bool) {
+	if fresh {
+		r.merge(*t)
+	}
+	if r.done > 0 {
+		r.truncate(r.done)
+	}
+}
+
+// merge adds a run that overlaps, touches or lies apart from the retained
+// ones in any way, coalescing every run it overlaps or touches.
+func (r *replicaLog) merge(in run) {
+	out := make([]run, 0, len(r.segs)+1)
 	placed := false
 	for _, s := range r.segs {
 		switch {
-		case s.end() < in.start || in.end() < s.start:
-			// Disjoint; keep ordering.
-			if !placed && in.start < s.start {
-				merged = append(merged, in)
+		case s.end() < in.base:
+			out = append(out, s)
+		case in.end() < s.base:
+			if !placed {
+				out = append(out, in)
 				placed = true
 			}
-			merged = append(merged, s)
+			out = append(out, s)
 		default:
-			// Overlapping or adjacent: coalesce into `in`.
 			in = coalesce(s, in)
 		}
 	}
 	if !placed {
-		merged = append(merged, in)
+		out = append(out, in)
 	}
-	sort.Slice(merged, func(i, j int) bool { return merged[i].start < merged[j].start })
-	r.segs = merged
+	r.segs = out
 }
 
-// coalesce merges two overlapping/adjacent segments. Overlapping entries
-// are taken from whichever segment provides them (they are identical by
+// coalesce joins two overlapping or adjacent runs. Overlapping entries are
+// taken from whichever run starts first (they are identical by
 // construction: the same origin log position).
-func coalesce(a, b segment) segment {
-	if b.start < a.start {
+func coalesce(a, b run) run {
+	if b.base < a.base {
 		a, b = b, a
 	}
-	if b.end() <= a.end() {
-		return a // b fully contained
+	if b.end() > a.end() {
+		for _, d := range b.from(a.end()) {
+			a.append(d)
+		}
 	}
-	tail := b.ents[a.end()-b.start:]
-	out := segment{start: a.start, ents: make([]Determinant, 0, int(a.end()-a.start)+len(tail))}
-	out.ents = append(out.ents, a.ents...)
-	out.ents = append(out.ents, tail...)
-	return out
+	return a
 }
 
-// contiguousFrom returns the longest contiguous run starting at abs, or
-// nil if abs is not covered.
-func (r *replicaLog) contiguousFrom(abs uint64) []Determinant {
-	for _, s := range r.segs {
-		if s.start <= abs && abs < s.end() {
-			return s.ents[abs-s.start:]
+// seg returns the run holding absolute index abs, or nil if abs lies in a
+// gap or outside what is retained.
+func (r *replicaLog) seg(abs uint64) *run {
+	for i := range r.segs {
+		if s := &r.segs[i]; s.base <= abs && abs < s.end() {
+			return s
 		}
 	}
 	return nil
 }
 
-// since returns the contiguous entries available starting at abs and the
-// absolute index of the first returned entry. When abs falls in a gap or
-// past the end, nothing is returned.
-func (r *replicaLog) since(abs uint64) ([]Determinant, uint64) {
-	ents := r.contiguousFrom(abs)
-	return ents, abs
+// contiguousFrom returns the longest contiguous range starting at abs, or
+// nil if abs is not covered.
+func (r *replicaLog) contiguousFrom(abs uint64) []Determinant {
+	if s := r.seg(abs); s != nil {
+		return s.from(abs)
+	}
+	return nil
 }
 
-// epochStart scans retained segments for the EPOCH marker of e.
+// since finds what a consumer whose next wanted index is abs can be sent:
+// the run holding abs and the index to send from. A cursor that fell
+// behind a truncation is clamped to the oldest retained entry, as it is
+// on an own log; one inside a gap or at the end gets nil.
+func (r *replicaLog) since(abs uint64) (*run, uint64) {
+	if len(r.segs) > 0 && abs < r.segs[0].base {
+		abs = r.segs[0].base
+	}
+	return r.seg(abs), abs
+}
+
+// epochStart returns the absolute index of the retained EPOCH marker of e.
 func (r *replicaLog) epochStart(e types.EpochID) (uint64, bool) {
-	for _, s := range r.segs {
-		for i, d := range s.ents {
-			if d.Kind == KindEpoch && d.Epoch == e {
-				return s.start + uint64(i), true
-			}
+	for i := range r.segs {
+		if idx, ok := r.segs[i].epochAt[e]; ok {
+			return idx, true
 		}
 	}
 	return 0, false
 }
 
-// truncate drops entries before the EPOCH marker of upTo+1, if present.
+// truncate drops the entries of epochs <= upTo: everything before the
+// EPOCH marker of upTo+1. Without the marker nothing is dropped yet.
 func (r *replicaLog) truncate(upTo types.EpochID) {
-	cut, ok := r.epochStart(upTo + 1)
-	if !ok {
+	r.done = max(r.done, upTo)
+	cut, ok := r.epochStart(r.done + 1)
+	if !ok || cut <= r.floor {
 		return
 	}
-	var kept []segment
-	for _, s := range r.segs {
-		switch {
-		case s.end() <= cut:
-			// drop entirely
-		case s.start >= cut:
-			kept = append(kept, s)
-		default:
-			kept = append(kept, segment{start: cut, ents: append([]Determinant(nil), s.ents[cut-s.start:]...)})
-		}
+	r.floor = cut
+	// The marker is retained, so some run ends past the cut.
+	i := slices.IndexFunc(r.segs, func(s run) bool { return s.end() > cut })
+	r.segs = slices.Delete(r.segs, 0, i)
+	if s := &r.segs[0]; s.base < cut {
+		s.truncateTo(cut)
 	}
-	r.segs = kept
 }
 
-// end returns one past the highest retained index, or 0 when empty.
-func (r *replicaLog) end() uint64 {
-	if len(r.segs) == 0 {
-		return 0
+func (r *replicaLog) size() int {
+	n := 0
+	for i := range r.segs {
+		n += r.segs[i].len()
 	}
-	return r.segs[len(r.segs)-1].end()
+	return n
 }
 
 // Replica is everything a task holds about one origin task's logs.
@@ -149,6 +195,8 @@ type Replica struct {
 	// downstream). Forwarding only continues while Hops < DSD.
 	Hops int
 	logs map[LogKey]*replicaLog
+	// order lists logs as a forwarded set does: main, then channels by key.
+	order []*replicaLog
 }
 
 // Extracted is the recovery view of an origin task's logs: the contiguous
@@ -165,11 +213,14 @@ type Extracted struct {
 }
 
 // Store is a task's replicated collection of upstream determinant logs.
-// Deltas piggybacked on incoming buffers are ingested here *before* the
-// buffer's records are processed, preserving Depend(e) ⊆ Log(e).
+// Deltas piggybacked on incoming buffers are ingested here as the buffer
+// is accepted — before its records are processed, preserving
+// Depend(e) ⊆ Log(e).
 type Store struct {
-	mu          sync.Mutex
-	byOrigin    map[types.TaskID]*Replica
+	mu       sync.Mutex
+	byOrigin map[types.TaskID]*Replica
+	// order lists replicas by origin, the order forwarded sets take.
+	order       []*Replica
 	extractions *obs.Counter
 }
 
@@ -186,91 +237,55 @@ func NewStore() *Store {
 	return &Store{byOrigin: make(map[types.TaskID]*Replica)}
 }
 
-// Ingest merges a received run of an origin task's log. hops is the
-// distance from the origin to this task.
-func (s *Store) Ingest(origin types.TaskID, hops int, key LogKey, first uint64, ents []Determinant) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// log returns (creating on first sight) the replica of one origin log.
+// hops is the distance from the origin to this task.
+func (s *Store) log(origin types.TaskID, hops int, key LogKey) *replicaLog {
 	rep, ok := s.byOrigin[origin]
 	if !ok {
 		rep = &Replica{Origin: origin, Hops: hops, logs: make(map[LogKey]*replicaLog)}
 		s.byOrigin[origin] = rep
+		s.order = insertSorted(s.order, origin, rep, func(r *Replica, o types.TaskID) int {
+			return cmp.Or(cmp.Compare(r.Origin.Vertex, o.Vertex), cmp.Compare(r.Origin.Subtask, o.Subtask))
+		})
 	}
 	if hops < rep.Hops {
 		rep.Hops = hops
 	}
 	rl, ok := rep.logs[key]
 	if !ok {
-		rl = &replicaLog{}
+		rl = &replicaLog{key: key}
 		rep.logs[key] = rl
+		rep.order = insertSorted(rep.order, key, rl, func(l *replicaLog, k LogKey) int {
+			return compareKeys(l.key, k)
+		})
 	}
-	rl.insert(first, ents)
+	return rl
 }
 
-// Origins returns the origin tasks currently replicated, with their hop
-// distance.
-func (s *Store) Origins() map[types.TaskID]int {
+// Ingest merges a received run of an origin task's log. hops is the
+// distance from the origin to this task.
+func (s *Store) Ingest(origin types.TaskID, hops int, key LogKey, first uint64, ents []Determinant) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make(map[types.TaskID]int, len(s.byOrigin))
-	for id, rep := range s.byOrigin {
-		out[id] = rep.Hops
-	}
-	return out
+	s.log(origin, hops, key).insert(first, ents)
 }
 
-// ForwardableSince returns, for each origin with hops < dsd, the
-// contiguous entries of each of its logs starting at the given cursor
-// positions. cursors maps origin → log → next absolute index wanted; a
-// missing cursor starts from the oldest retained entry of that log.
-// The returned runs use the same nested shape, paired with start indices.
-func (s *Store) ForwardableSince(dsd int, cursors map[types.TaskID]map[LogKey]uint64) []ForwardSet {
+// IngestDelta merges a received delta, decoding each run straight into
+// the replica log that keeps it: O(delta) time and, in steady state, one
+// allocation (the SERVICE payloads' shared backing) however much is
+// retained. A malformed delta is rejected whole.
+func (s *Store) IngestDelta(delta []byte) error {
+	payloadBytes, err := checkDelta(delta)
+	if err != nil {
+		return err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var out []ForwardSet
-	for origin, rep := range s.byOrigin {
-		if rep.Hops >= dsd {
-			continue
-		}
-		fs := ForwardSet{Origin: origin, Hops: rep.Hops + 1, Logs: make(map[LogKey]Run)}
-		for key, rl := range rep.logs {
-			var from uint64
-			if c, ok := cursors[origin]; ok {
-				from = c[key]
-			}
-			if from == 0 && len(rl.segs) > 0 {
-				from = rl.segs[0].start
-			}
-			ents, start := rl.since(from)
-			if len(ents) > 0 {
-				fs.Logs[key] = Run{Start: start, Ents: ents}
-			}
-		}
-		if len(fs.Logs) > 0 {
-			out = append(out, fs)
-		}
+	rd := readDelta(delta, payloadBytes)
+	for rd.nextLog() {
+		s.log(rd.origin, rd.hops, rd.key).ingest(&rd)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].Origin, out[j].Origin
-		if a.Vertex != b.Vertex {
-			return a.Vertex < b.Vertex
-		}
-		return a.Subtask < b.Subtask
-	})
-	return out
-}
-
-// Run is a contiguous determinant run with its absolute start index.
-type Run struct {
-	Start uint64
-	Ents  []Determinant
-}
-
-// ForwardSet is one origin task's forwardable logs.
-type ForwardSet struct {
-	Origin types.TaskID
-	Hops   int
-	Logs   map[LogKey]Run
+	return rd.err
 }
 
 // Extract builds the recovery view for an origin task from the requested
@@ -333,9 +348,7 @@ func (s *Store) SizeEntries() int {
 	n := 0
 	for _, rep := range s.byOrigin {
 		for _, rl := range rep.logs {
-			for _, seg := range rl.segs {
-				n += len(seg.ents)
-			}
+			n += rl.size()
 		}
 	}
 	return n

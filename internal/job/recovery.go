@@ -169,15 +169,8 @@ func (r *Runtime) localRecover(failed types.TaskID) (escalate string) {
 				continue
 			}
 			for _, blob := range rec.RecoverDeterminants(failed.String()) {
-				sets, err := causal.DecodeDelta(blob)
-				if err != nil {
+				if err := merged.IngestDelta(blob); err != nil {
 					r.reportTaskError(failed, err)
-					continue
-				}
-				for _, fs := range sets {
-					for key, run := range fs.Logs {
-						merged.Ingest(fs.Origin, fs.Hops, key, run.Start, run.Ents)
-					}
 				}
 			}
 		}

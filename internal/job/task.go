@@ -906,11 +906,8 @@ func (t *Task) handleBuffer(idx int, m *netstack.Message) {
 	t.metrics.buffersIn.Inc()
 	defer t.metrics.process.ObserveSince(time.Now())
 	if t.causal != nil {
-		if err := t.causal.Ingest(m.Delta); err != nil {
-			m.Release()
-			t.fail(err)
-			return
-		}
+		// m's determinant delta is in the replica store already: ingested
+		// when the endpoint accepted m, or by preloadInFlight.
 		t.causal.AppendOrder(int32(idx))
 	}
 	t.offset++
@@ -1366,10 +1363,13 @@ func (t *Task) abandonCapture(newCp types.CheckpointID) {
 // preloadInFlight injects a restored unaligned snapshot's logged input
 // ahead of live traffic: each captured channel's deserializer is seeded
 // with the partial-element prefix and its endpoint is preloaded with the
-// captured messages. Preloaded messages bypass the accept path (their
-// determinant deltas are re-ingested by handleBuffer, but the audit
+// captured messages. Preloaded messages bypass the accept path — the audit
 // plane's delivery records for them were truncated with the checkpoint,
-// so re-running OnDeliver would raise false seq-continuity violations).
+// so re-running OnDeliver would raise false seq-continuity violations —
+// which makes this the one other place that ingests determinant deltas:
+// every received buffer's delta enters the replica store exactly once,
+// before anything can depend on the buffer, either here or in the
+// endpoint's accept hook (attachNetwork).
 // Runs at the top of run(), where endpoints and deserializers exist in
 // both recovery orders (standby activation and global restart) and
 // before any determinant-guided or live consumption.
@@ -1404,6 +1404,14 @@ func (t *Task) preloadInFlight() {
 		}
 		if len(ch.Msgs) == 0 {
 			continue
+		}
+		if t.causal != nil {
+			for _, im := range ch.Msgs {
+				if err := t.causal.Ingest(im.Delta); err != nil {
+					t.fail(err)
+					return
+				}
+			}
 		}
 		msgs := make([]*netstack.Message, 0, len(ch.Msgs))
 		for _, im := range ch.Msgs {

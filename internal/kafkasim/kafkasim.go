@@ -13,6 +13,43 @@ import (
 	"time"
 )
 
+// chunkLen is how many entries one chunk of a log holds.
+const chunkLen = 1024
+
+// chunked is an append-only sequence stored in chunks of chunkLen entries.
+// A simulated broker log only ever grows, and as one slice each regrowth
+// would copy everything stored so far — tens of megabytes, inside the
+// log's lock, at moments fixed by the record count — so an append here
+// costs the same whatever the log already holds.
+//
+//clonos:external storage of a simulated broker log (Partition, SinkTopic), durable outside the recovery domain
+type chunked[T any] struct {
+	chunks [][]T
+	n      int
+}
+
+func (c *chunked[T]) append(v T) {
+	if c.n == len(c.chunks)*chunkLen {
+		c.chunks = append(c.chunks, make([]T, 0, chunkLen))
+	}
+	last := &c.chunks[len(c.chunks)-1]
+	*last = append(*last, v)
+	c.n++
+}
+
+// at returns entry i; 0 <= i < c.n.
+func (c *chunked[T]) at(i int) T { return c.chunks[i/chunkLen][i%chunkLen] }
+
+// since returns a copy of the entries from index from on; 0 <= from < c.n.
+func (c *chunked[T]) since(from int) []T {
+	out := make([]T, 0, c.n-from)
+	out = append(out, c.chunks[from/chunkLen][from%chunkLen:]...)
+	for _, ch := range c.chunks[from/chunkLen+1:] {
+		out = append(out, ch...)
+	}
+	return out
+}
+
 // Record is one log entry of a source partition.
 type Record struct {
 	Key   uint64
@@ -26,7 +63,7 @@ type Record struct {
 type Partition struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
-	records []Record
+	records chunked[Record]
 	closed  bool
 }
 
@@ -40,7 +77,7 @@ func NewPartition() *Partition {
 // Append adds a record.
 func (p *Partition) Append(r Record) {
 	p.mu.Lock()
-	p.records = append(p.records, r)
+	p.records.append(r)
 	p.cond.Broadcast()
 	p.mu.Unlock()
 }
@@ -49,17 +86,17 @@ func (p *Partition) Append(r Record) {
 func (p *Partition) Get(offset int64) (Record, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if offset < 0 || offset >= int64(len(p.records)) {
+	if offset < 0 || offset >= int64(p.records.n) {
 		return Record{}, false
 	}
-	return p.records[offset], true
+	return p.records.at(int(offset)), true
 }
 
 // Len reports the high-water offset.
 func (p *Partition) Len() int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return int64(len(p.records))
+	return int64(p.records.n)
 }
 
 // Close marks the partition finished; blocked waits return.
@@ -152,7 +189,7 @@ type DeltaChunk struct {
 //clonos:external simulated downstream sink, durable outside the recovery domain; producer-sequence dedup (not snapshots) keeps it consistent across recovery
 type SinkTopic struct {
 	mu      sync.Mutex
-	records []SinkRecord
+	records chunked[SinkRecord]
 	lastSeq map[string]uint64
 	deltas  map[string][]DeltaChunk
 	dups    uint64
@@ -192,7 +229,7 @@ func (s *SinkTopic) Append(r SinkRecord) {
 		}
 		s.lastSeq[r.Producer] = r.Seq
 	}
-	s.records = append(s.records, r)
+	s.records.append(r)
 }
 
 // DeltasFor returns the stored determinant chunks of a producer, in
@@ -234,7 +271,7 @@ func (s *SinkTopic) StoredDeltaCount() int {
 func (s *SinkTopic) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.records)
+	return s.records.n
 }
 
 // Duplicates reports how many duplicate records were suppressed.
@@ -248,12 +285,10 @@ func (s *SinkTopic) Duplicates() uint64 {
 func (s *SinkTopic) Since(from int) []SinkRecord {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if from < 0 || from >= len(s.records) {
+	if from < 0 || from >= s.records.n {
 		return nil
 	}
-	out := make([]SinkRecord, len(s.records)-from)
-	copy(out, s.records[from:])
-	return out
+	return s.records.since(from)
 }
 
 // All returns a copy of every delivered record.

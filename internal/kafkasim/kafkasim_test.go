@@ -116,6 +116,42 @@ func TestSinkTopicSince(t *testing.T) {
 	}
 }
 
+// TestLogsSpanChunks reads a partition and a sink that hold several chunks
+// back by offset and from cursors on, before and inside every chunk.
+func TestLogsSpanChunks(t *testing.T) {
+	const n = 3*chunkLen + 7
+	p, s := NewPartition(), NewSinkTopic(false)
+	for i := uint64(0); i < n; i++ {
+		p.Append(Record{Key: i})
+		s.Append(SinkRecord{Key: i})
+	}
+	if p.Len() != n || s.Len() != n {
+		t.Fatalf("len = %d and %d, want %d", p.Len(), s.Len(), n)
+	}
+	for i := int64(0); i < n; i++ {
+		if r, ok := p.Get(i); !ok || r.Key != uint64(i) {
+			t.Fatalf("get(%d) = %v,%v", i, r, ok)
+		}
+	}
+	if _, ok := p.Get(n); ok {
+		t.Fatal("past-end offset returned a record")
+	}
+	for _, from := range []int{0, 1, chunkLen - 1, chunkLen, chunkLen + 1, 3 * chunkLen, n - 1} {
+		tail := s.Since(from)
+		if len(tail) != n-from {
+			t.Fatalf("since(%d) has %d records, want %d", from, len(tail), n-from)
+		}
+		for i, r := range tail {
+			if r.Key != uint64(from+i) {
+				t.Fatalf("since(%d)[%d] has key %d", from, i, r.Key)
+			}
+		}
+	}
+	if s.Since(n) != nil {
+		t.Fatal("since past end returned records")
+	}
+}
+
 func TestSinkStampsArrival(t *testing.T) {
 	s := NewSinkTopic(false)
 	before := time.Now().UnixMilli()

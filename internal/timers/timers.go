@@ -106,8 +106,12 @@ type Service struct {
 	fire  func(Timer)
 	live  bool
 	stop  chan struct{}
-	wake  chan struct{}
-	done  sync.WaitGroup
+	// stopped latches Stop: a task's crash can land before its start()
+	// reaches Start, and that late Start must not spawn a thread nobody
+	// will ever stop.
+	stopped bool
+	wake    chan struct{}
+	done    sync.WaitGroup
 }
 
 // NewService builds a timer service. clock returns the wall time in Unix
@@ -217,10 +221,11 @@ func (s *Service) SetLive(live bool) {
 	s.kick()
 }
 
-// Start launches the processing-time thread.
+// Start launches the processing-time thread. It is a no-op while the
+// thread runs and after Stop.
 func (s *Service) Start() {
 	s.mu.Lock()
-	if s.stop != nil {
+	if s.stop != nil || s.stopped {
 		s.mu.Unlock()
 		return
 	}
@@ -231,11 +236,13 @@ func (s *Service) Start() {
 	go s.run(stop)
 }
 
-// Stop terminates the processing-time thread and waits for it.
+// Stop terminates the processing-time thread and waits for it. Stop is
+// terminal: the service cannot be started again.
 func (s *Service) Stop() {
 	s.mu.Lock()
 	stop := s.stop
 	s.stop = nil
+	s.stopped = true
 	s.mu.Unlock()
 	if stop != nil {
 		close(stop)

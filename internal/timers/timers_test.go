@@ -182,3 +182,29 @@ func TestStartStopIdempotent(t *testing.T) {
 	s.Stop()
 	s.Stop() // second stop is a no-op
 }
+
+// TestStartAfterStopIsNoOp pins Stop as terminal: a task's crash can run
+// Stop before its start() reaches Start, and a thread spawned by that
+// late Start would have nobody left to stop it.
+func TestStartAfterStopIsNoOp(t *testing.T) {
+	running := func(s *Service) bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.stop != nil
+	}
+	s := NewService(nil, nil)
+	s.Stop()
+	s.Start()
+	if running(s) {
+		s.Stop()
+		t.Fatal("Start after Stop launched the timer thread")
+	}
+	s = NewService(nil, nil)
+	s.Start()
+	s.Stop()
+	s.Start()
+	if running(s) {
+		s.Stop()
+		t.Fatal("Start after Start+Stop relaunched the timer thread")
+	}
+}
