@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build check vet lint lint-json race bench bench-compare bench-micro bench-smoke bench-json bench-matrix matrix-smoke fault-sweep fault-sweep-unaligned
+.PHONY: build check fmt-check vet lint lint-json race bench bench-compare bench-micro bench-smoke bench-json bench-matrix matrix-smoke fault-sweep fault-sweep-unaligned
 
 build:
 	$(GO) build ./...
@@ -14,9 +14,16 @@ build:
 # is vetted and tested here too: an API change that would stop the
 # repository's benchmark from building fails the gate, not the next PR's
 # measurement.
-check: build
+check: build fmt-check
 	$(GO) test -p 1 ./...
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# fmt-check lists every Go file of the root module and bench/ that gofmt
+# would change, and fails if there is one. The analyzers' testdata/ trees
+# are fixtures, not code, and are left alone.
+fmt-check:
+	@out=$$(find . -name '*.go' -not -path '*/testdata/*' -not -path './.bench_build/*' | xargs gofmt -l); \
+	if [ -n "$$out" ]; then echo "not gofmt-clean:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

@@ -14,9 +14,10 @@ import (
 // state: keyed state, encoded timer state, and the watermark-merge state
 // (per-channel watermarks in input order plus the merged watermark).
 //
-// The keyed state is walked in sorted (name, key) order and each value
-// is hashed as its typed-codec frame (codec.EncodeAnyFramed) into a
-// reused scratch buffer — registered types pay the hand-written encoder
+// The keyed state is walked in sorted (name, key) order (Store.Walk, the
+// order and the key scratch Snapshot itself uses) and each value is
+// hashed as its typed-codec frame (codec.EncodeAnyFramed) into a reused
+// scratch buffer — registered types pay the hand-written encoder
 // instead of a reflection walk, and a nil value encodes as its own tag,
 // so no sentinel is needed. Typed encoders emit map contents in sorted
 // key order, so the bytes are deterministic; a correct restore
@@ -34,17 +35,20 @@ func Fingerprint(store *statestore.Store, timers []byte, chanWms []int64, curWm 
 		h.Write(scratch[:])
 	}
 	var buf []byte
-	for _, name := range store.Names() {
-		io.WriteString(h, name)
-		ks := store.Keyed(name)
-		for _, key := range ks.SortedKeys() {
+	err := store.Walk(func(ks *statestore.KeyedState, keys []uint64) error {
+		io.WriteString(h, ks.Name())
+		for _, key := range keys {
 			writeU64(key)
 			var err error
 			if buf, err = codec.EncodeAnyFramed(buf[:0], ks.Get(key)); err != nil {
-				return 0, fmt.Errorf("audit: fingerprint %s[%d]: %w", name, key, err)
+				return fmt.Errorf("audit: fingerprint %s[%d]: %w", ks.Name(), key, err)
 			}
 			h.Write(buf)
 		}
+		return nil
+	})
+	if err != nil {
+		return 0, err
 	}
 	h.Write(timers)
 	for _, wm := range chanWms {

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"clonos/internal/types"
 )
@@ -25,6 +26,23 @@ type Codec interface {
 	// Decode decodes a value from exactly the bytes in b.
 	Decode(b []byte) (any, error)
 }
+
+// Sizer is an optional capability of a Codec, in the style of
+// io.WriterTo: EncodedSize reports len(EncodeAppend(nil, v)) without
+// encoding anything, so a caller can allocate its output once at the
+// exact size and write a length prefix at its final width up front. A
+// negative result means "unknown" — v is not the codec's type, or nests
+// a value whose own codec is not a Sizer — and the caller falls back to
+// encode-then-measure.
+type Sizer interface {
+	EncodedSize(v any) int
+}
+
+// UvarintLen reports how many bytes binary.AppendUvarint writes for x.
+func UvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// VarintLen reports how many bytes binary.AppendVarint writes for x.
+func VarintLen(x int64) int { return UvarintLen(uint64(x<<1) ^ uint64(x>>63)) }
 
 // ErrShortBuffer is returned by decoding routines when the input does not
 // contain a complete encoding.
@@ -71,6 +89,15 @@ func (Int64Codec) EncodeAppend(dst []byte, v any) ([]byte, error) {
 	return binary.AppendVarint(dst, n), nil
 }
 
+// EncodedSize implements Sizer.
+func (Int64Codec) EncodedSize(v any) int {
+	n, ok := v.(int64)
+	if !ok {
+		return -1
+	}
+	return VarintLen(n)
+}
+
 // Decode implements Codec.
 func (Int64Codec) Decode(b []byte) (any, error) {
 	n, sz := binary.Varint(b)
@@ -93,6 +120,14 @@ func (Float64Codec) EncodeAppend(dst []byte, v any) ([]byte, error) {
 		return dst, fmt.Errorf("codec: Float64Codec got %T", v)
 	}
 	return binary.BigEndian.AppendUint64(dst, math.Float64bits(f)), nil
+}
+
+// EncodedSize implements Sizer.
+func (Float64Codec) EncodedSize(v any) int {
+	if _, ok := v.(float64); !ok {
+		return -1
+	}
+	return 8
 }
 
 // Decode implements Codec.
@@ -118,6 +153,15 @@ func (StringCodec) EncodeAppend(dst []byte, v any) ([]byte, error) {
 	return append(dst, s...), nil
 }
 
+// EncodedSize implements Sizer.
+func (StringCodec) EncodedSize(v any) int {
+	s, ok := v.(string)
+	if !ok {
+		return -1
+	}
+	return len(s)
+}
+
 // Decode implements Codec.
 func (StringCodec) Decode(b []byte) (any, error) {
 	return string(b), nil
@@ -134,6 +178,15 @@ func (BytesCodec) EncodeAppend(dst []byte, v any) ([]byte, error) {
 		return dst, fmt.Errorf("codec: BytesCodec got %T", v)
 	}
 	return append(dst, b...), nil
+}
+
+// EncodedSize implements Sizer.
+func (BytesCodec) EncodedSize(v any) int {
+	b, ok := v.([]byte)
+	if !ok {
+		return -1
+	}
+	return len(b)
 }
 
 // Decode implements Codec.

@@ -10,6 +10,10 @@ package codec
 // Map codecs iterate keys in sorted order: their bytes feed the audit
 // plane's state fingerprint, which must be identical at snapshot time
 // and after restore regardless of map iteration order.
+//
+// Decoders check an element count against the bytes that follow it
+// (every element takes at least one) before it sizes an allocation: a
+// corrupt count is ErrShortBuffer, not a makeslice panic.
 
 import (
 	"encoding/binary"
@@ -30,6 +34,14 @@ func (BoolCodec) EncodeAppend(dst []byte, v any) ([]byte, error) {
 		return append(dst, 1), nil
 	}
 	return append(dst, 0), nil
+}
+
+// EncodedSize implements Sizer.
+func (BoolCodec) EncodedSize(v any) int {
+	if _, ok := v.(bool); !ok {
+		return -1
+	}
+	return 1
 }
 
 // Decode implements Codec.
@@ -59,6 +71,15 @@ func (IntCodec) EncodeAppend(dst []byte, v any) ([]byte, error) {
 	return binary.AppendVarint(dst, int64(n)), nil
 }
 
+// EncodedSize implements Sizer.
+func (IntCodec) EncodedSize(v any) int {
+	n, ok := v.(int)
+	if !ok {
+		return -1
+	}
+	return VarintLen(int64(n))
+}
+
 // Decode implements Codec.
 func (IntCodec) Decode(b []byte) (any, error) {
 	n, sz := binary.Varint(b)
@@ -81,6 +102,15 @@ func (Uint64Codec) EncodeAppend(dst []byte, v any) ([]byte, error) {
 		return dst, fmt.Errorf("codec: Uint64Codec got %T", v)
 	}
 	return binary.AppendUvarint(dst, n), nil
+}
+
+// EncodedSize implements Sizer.
+func (Uint64Codec) EncodedSize(v any) int {
+	n, ok := v.(uint64)
+	if !ok {
+		return -1
+	}
+	return UvarintLen(n)
 }
 
 // Decode implements Codec.
@@ -115,10 +145,27 @@ func (AnySliceCodec) EncodeAppend(dst []byte, v any) ([]byte, error) {
 	return dst, nil
 }
 
+// EncodedSize implements Sizer.
+func (AnySliceCodec) EncodedSize(v any) int {
+	s, ok := v.([]any)
+	if !ok {
+		return -1
+	}
+	n := UvarintLen(uint64(len(s)))
+	for _, e := range s {
+		f := FramedSize(e)
+		if f < 0 {
+			return -1
+		}
+		n += f
+	}
+	return n
+}
+
 // Decode implements Codec.
 func (AnySliceCodec) Decode(b []byte) (any, error) {
 	n, sz := binary.Uvarint(b)
-	if sz <= 0 {
+	if sz <= 0 || n > uint64(len(b)-sz) {
 		return nil, ErrShortBuffer
 	}
 	b = b[sz:]
@@ -153,10 +200,23 @@ func (Int64SliceCodec) EncodeAppend(dst []byte, v any) ([]byte, error) {
 	return dst, nil
 }
 
+// EncodedSize implements Sizer.
+func (Int64SliceCodec) EncodedSize(v any) int {
+	s, ok := v.([]int64)
+	if !ok {
+		return -1
+	}
+	n := UvarintLen(uint64(len(s)))
+	for _, e := range s {
+		n += VarintLen(e)
+	}
+	return n
+}
+
 // Decode implements Codec.
 func (Int64SliceCodec) Decode(b []byte) (any, error) {
 	n, sz := binary.Uvarint(b)
-	if sz <= 0 {
+	if sz <= 0 || n > uint64(len(b)-sz) {
 		return nil, ErrShortBuffer
 	}
 	b = b[sz:]
@@ -201,10 +261,27 @@ func (MapInt64AnyCodec) EncodeAppend(dst []byte, v any) ([]byte, error) {
 	return dst, nil
 }
 
+// EncodedSize implements Sizer.
+func (MapInt64AnyCodec) EncodedSize(v any) int {
+	m, ok := v.(map[int64]any)
+	if !ok {
+		return -1
+	}
+	n := UvarintLen(uint64(len(m)))
+	for k, e := range m {
+		f := FramedSize(e)
+		if f < 0 {
+			return -1
+		}
+		n += VarintLen(k) + f
+	}
+	return n
+}
+
 // Decode implements Codec.
 func (MapInt64AnyCodec) Decode(b []byte) (any, error) {
 	n, sz := binary.Uvarint(b)
-	if sz <= 0 {
+	if sz <= 0 || n > uint64(len(b)-sz) {
 		return nil, ErrShortBuffer
 	}
 	b = b[sz:]
@@ -250,10 +327,23 @@ func (MapUint64Int64Codec) EncodeAppend(dst []byte, v any) ([]byte, error) {
 	return dst, nil
 }
 
+// EncodedSize implements Sizer.
+func (MapUint64Int64Codec) EncodedSize(v any) int {
+	m, ok := v.(map[uint64]int64)
+	if !ok {
+		return -1
+	}
+	n := UvarintLen(uint64(len(m)))
+	for k, e := range m {
+		n += UvarintLen(k) + VarintLen(e)
+	}
+	return n
+}
+
 // Decode implements Codec.
 func (MapUint64Int64Codec) Decode(b []byte) (any, error) {
 	n, sz := binary.Uvarint(b)
-	if sz <= 0 {
+	if sz <= 0 || n > uint64(len(b)-sz) {
 		return nil, ErrShortBuffer
 	}
 	b = b[sz:]
@@ -304,10 +394,27 @@ func (MapStringAnyCodec) EncodeAppend(dst []byte, v any) ([]byte, error) {
 	return dst, nil
 }
 
+// EncodedSize implements Sizer.
+func (MapStringAnyCodec) EncodedSize(v any) int {
+	m, ok := v.(map[string]any)
+	if !ok {
+		return -1
+	}
+	n := UvarintLen(uint64(len(m)))
+	for k, e := range m {
+		f := FramedSize(e)
+		if f < 0 {
+			return -1
+		}
+		n += UvarintLen(uint64(len(k))) + len(k) + f
+	}
+	return n
+}
+
 // Decode implements Codec.
 func (MapStringAnyCodec) Decode(b []byte) (any, error) {
 	n, sz := binary.Uvarint(b)
-	if sz <= 0 {
+	if sz <= 0 || n > uint64(len(b)-sz) {
 		return nil, ErrShortBuffer
 	}
 	b = b[sz:]

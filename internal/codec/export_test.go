@@ -1,0 +1,14 @@
+package codec
+
+import "reflect"
+
+// RegisteredCodecs returns the codec of every concrete type in the
+// registry, built-in shapes included, for the external tests that walk
+// it.
+func RegisteredCodecs() map[reflect.Type]Codec {
+	out := make(map[reflect.Type]Codec)
+	for t, e := range registry.Load().byType {
+		out[t] = e.c
+	}
+	return out
+}

@@ -202,22 +202,36 @@ func DecodeAny(b []byte) (any, error) {
 }
 
 // EncodeAnyFramed appends `tag | uvarint(len(payload)) | payload` — the
-// self-delimiting form composites and snapshot frames embed. The length
-// slot is reserved optimistically at one byte (payloads under 128 bytes,
-// the common case, never move); longer payloads are shifted right once
-// when the final varint width is known, so no intermediate buffer exists
-// on either path.
+// self-delimiting form composites and snapshot frames embed. A codec
+// that is a Sizer has its length written at final width up front and its
+// payload appended behind it, so no encoded byte ever moves. For the
+// rest — user codecs without EncodedSize, and the gob fallback — the
+// length slot is reserved at one byte and a payload of 128 bytes or more
+// is shifted right once when its varint width is known.
 func EncodeAnyFramed(dst []byte, v any) ([]byte, error) {
 	tag, c := resolve(v)
-	dst = append(dst, byte(tag))
 	if tag == TagNil {
-		return append(dst, 0), nil
+		return append(dst, byte(TagNil), 0), nil
+	}
+	start := len(dst)
+	dst = append(dst, byte(tag))
+	if n := encodedSize(c, v); n >= 0 {
+		dst = binary.AppendUvarint(dst, uint64(n))
+		body := len(dst)
+		out, err := c.EncodeAppend(dst, v)
+		if err != nil {
+			return dst[:start], err
+		}
+		if len(out)-body != n {
+			return dst[:start], fmt.Errorf("codec: %T.EncodedSize reported %d bytes, EncodeAppend wrote %d", c, n, len(out)-body)
+		}
+		return out, nil
 	}
 	lenPos := len(dst)
 	dst = append(dst, 0)
 	out, err := c.EncodeAppend(dst, v)
 	if err != nil {
-		return dst[:lenPos-1], err
+		return dst[:start], err
 	}
 	n := len(out) - lenPos - 1
 	if n < 0x80 {
@@ -230,6 +244,28 @@ func EncodeAnyFramed(dst []byte, v any) ([]byte, error) {
 	copy(out[lenPos+w:], out[lenPos+1:lenPos+1+n])
 	copy(out[lenPos:lenPos+w], lb[:w])
 	return out, nil
+}
+
+// encodedSize is c's EncodedSize of v, or -1 when c is not a Sizer.
+func encodedSize(c Codec, v any) int {
+	if s, ok := c.(Sizer); ok {
+		return s.EncodedSize(v)
+	}
+	return -1
+}
+
+// FramedSize reports how many bytes EncodeAnyFramed appends for v, or -1
+// when v's codec cannot size it.
+func FramedSize(v any) int {
+	tag, c := resolve(v)
+	if tag == TagNil {
+		return 2
+	}
+	n := encodedSize(c, v)
+	if n < 0 {
+		return -1
+	}
+	return 1 + UvarintLen(uint64(n)) + n
 }
 
 // DecodeAnyFramed decodes one framed value from the front of b and

@@ -2,6 +2,7 @@ package codec
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"math/rand"
@@ -83,26 +84,46 @@ func assertSemanticEqual(t *testing.T, want, got any) {
 	}
 }
 
-// TestFramedLengthShift exercises the optimistic one-byte length
-// reservation on both sides of the 128-byte boundary, where payloads must
-// be shifted right for the wider varint.
-func TestFramedLengthShift(t *testing.T) {
+// regTestBlob is a byte string whose codec has no EncodedSize: the
+// shape of a user codec written against Codec alone.
+type regTestBlob []byte
+type regTestBlobCodec struct{}
+
+func (regTestBlobCodec) EncodeAppend(dst []byte, v any) ([]byte, error) {
+	return append(dst, v.(regTestBlob)...), nil
+}
+func (regTestBlobCodec) Decode(b []byte) (any, error) { return regTestBlob(bytes.Clone(b)), nil }
+
+// TestFramedLengthWidth crosses the 128-byte and 16 KiB boundaries of
+// the frame's length varint on both encode paths: a Sizer codec ([]byte)
+// writes the length at final width up front, an unsized one
+// (regTestBlob) reserves one byte and shifts the payload right once.
+func TestFramedLengthWidth(t *testing.T) {
+	RegisterType(regTestBlob(nil), regTestBlobCodec{})
 	for _, n := range []int{0, 1, 126, 127, 128, 129, 1 << 14, 1<<14 + 1} {
 		payload := make([]byte, n)
 		for i := range payload {
 			payload[i] = byte(i)
 		}
-		// Prefix garbage ensures the shift respects the dst offset.
-		enc, err := EncodeAnyFramed([]byte{0xAA, 0xBB}, payload)
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		got, used, err := DecodeAnyFramed(enc[2:])
-		if err != nil || used != len(enc)-2 {
-			t.Fatalf("n=%d: decode used=%d err=%v", n, used, err)
-		}
-		if !bytes.Equal(got.([]byte), payload) {
-			t.Fatalf("n=%d: payload corrupted by length shift", n)
+		for _, v := range []any{payload, regTestBlob(payload)} {
+			if _, unsized := v.(regTestBlob); unsized != (FramedSize(v) < 0) {
+				t.Fatalf("n=%d %T: FramedSize = %d", n, v, FramedSize(v))
+			}
+			// Prefix garbage ensures the frame respects the dst offset.
+			enc, err := EncodeAnyFramed([]byte{0xAA, 0xBB}, v)
+			if err != nil {
+				t.Fatalf("n=%d %T: %v", n, v, err)
+			}
+			if want := 1 + UvarintLen(uint64(n)) + n; len(enc)-2 != want {
+				t.Fatalf("n=%d %T: frame is %d bytes, want %d", n, v, len(enc)-2, want)
+			}
+			got, used, err := DecodeAnyFramed(enc[2:])
+			if err != nil || used != len(enc)-2 {
+				t.Fatalf("n=%d %T: decode used=%d err=%v", n, v, used, err)
+			}
+			if !bytes.Equal(reflect.ValueOf(got).Bytes(), payload) {
+				t.Fatalf("n=%d %T: payload corrupted", n, v)
+			}
 		}
 	}
 }
@@ -231,6 +252,21 @@ func TestEncodeAnyDeterministic(t *testing.T) {
 			if !bytes.Equal(first, again) {
 				t.Fatalf("map encoding nondeterministic for %T", v)
 			}
+		}
+	}
+}
+
+// TestCompositeCountBounded: a composite whose leading element count
+// exceeds the bytes behind it is rejected before the count sizes an
+// allocation (it used to reach makeslice and panic).
+func TestCompositeCountBounded(t *testing.T) {
+	huge := binary.AppendUvarint(nil, 1<<62)
+	for _, c := range []Codec{AnySliceCodec{}, Int64SliceCodec{}, MapInt64AnyCodec{}, MapUint64Int64Codec{}, MapStringAnyCodec{}} {
+		if _, err := c.Decode(huge); !errors.Is(err, ErrShortBuffer) {
+			t.Errorf("%T: count 1<<62 with no elements: %v, want ErrShortBuffer", c, err)
+		}
+		if _, err := c.Decode([]byte{3, 0}); !errors.Is(err, ErrShortBuffer) {
+			t.Errorf("%T: count 3 with one byte left: %v, want ErrShortBuffer", c, err)
 		}
 	}
 }

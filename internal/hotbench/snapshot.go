@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -43,44 +44,53 @@ type SnapshotScenario struct {
 }
 
 // populatedStore builds a store with snapshotEntries bid values under one
-// state name, dirty tracking reset.
-func populatedStore() *statestore.Store {
+// state name, dirty tracking reset. Each bid carries extraBytes of Extra
+// on top of its 17 encoded bytes.
+func populatedStore(extraBytes int) *statestore.Store {
 	s := statestore.NewStore()
 	ks := s.Keyed("bids")
+	extra := strings.Repeat("x", extraBytes)
 	for i := 0; i < snapshotEntries; i++ {
 		ks.Put(uint64(i), nexmark.Bid{
 			Auction:  uint64(1000 + i%101),
 			Bidder:   uint64(i),
 			Price:    int64(100 + 7*i),
 			DateTime: int64(1_600_000_000_000 + i),
+			Extra:    extra,
 		})
 	}
 	s.ResetDirty()
 	return s
 }
 
+// fullSnapshot is the measured op of the full-snapshot scenarios.
+func fullSnapshot(extraBytes int) func() func() (int, error) {
+	return func() func() (int, error) {
+		s := populatedStore(extraBytes)
+		return func() (int, error) {
+			b, err := s.Snapshot()
+			return len(b), err
+		}
+	}
+}
+
 // SnapshotScenarios returns the snapshot-path set tracked by
 // BENCH_hotpath.json.
 func SnapshotScenarios() []SnapshotScenario {
 	return []SnapshotScenario{
-		{
-			// Full snapshot through the binary frame + typed codecs.
-			Name: "snapshot-encode", Entries: snapshotEntries,
-			New: func() func() (int, error) {
-				s := populatedStore()
-				return func() (int, error) {
-					b, err := s.Snapshot()
-					return len(b), err
-				}
-			},
-		},
+		// Full snapshot through the binary frame + typed codecs, at two
+		// value sizes: 17-byte entries, where per-entry work (sort, tag
+		// resolve, varints) is the cost, and 2 KiB entries — the
+		// benchmark's syn-state regime — where moving the bytes is.
+		{Name: "snapshot-encode", Entries: snapshotEntries, New: fullSnapshot(0)},
+		{Name: "snapshot-encode-2k", Entries: snapshotEntries, New: fullSnapshot(2048)},
 		{
 			// The same store through the legacy gob encoding (the
 			// pre-binary Snapshot implementation), kept as the measured
 			// before side of the switch.
 			Name: "snapshot-gob", Entries: snapshotEntries,
 			New: func() func() (int, error) {
-				s := populatedStore()
+				s := populatedStore(0)
 				return func() (int, error) {
 					flat := make(map[string]map[uint64]any)
 					for _, name := range s.Names() {
@@ -105,7 +115,7 @@ func SnapshotScenarios() []SnapshotScenario {
 			// cycle and is included).
 			Name: "delta-encode", Entries: deltaDirty,
 			New: func() func() (int, error) {
-				s := populatedStore()
+				s := populatedStore(0)
 				ks := s.Keyed("bids")
 				return func() (int, error) {
 					for i := 0; i < deltaDirty; i++ {

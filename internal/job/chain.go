@@ -30,6 +30,15 @@ type opContext struct {
 	index  int
 	scope  string
 	emitFn func(key uint64, ts int64, v any) // next operator or task output
+
+	// Keyed-state handles resolved so far, by unscoped name ("state" is
+	// State's), so that a per-record State() builds no name and asks the
+	// store nothing. They are handles into the store of generation
+	// stateGen: Store.Restore replaces every KeyedState, and the first
+	// call after one resolves afresh — lazily, as before, so a state
+	// still comes to exist (and enters snapshots) on first use.
+	named    map[string]*statestore.KeyedState
+	stateGen uint64
 }
 
 func newChain(t *Task) *chain {
@@ -147,13 +156,20 @@ func (c *chain) onProcTimer(tm timers.Timer) {
 func (ctx *opContext) Emit(key uint64, ts int64, v any) { ctx.emitFn(key, ts, v) }
 
 // State implements operator.Context.
-func (ctx *opContext) State() *statestore.KeyedState {
-	return ctx.task.store.Keyed(ctx.scope + ".state")
-}
+func (ctx *opContext) State() *statestore.KeyedState { return ctx.NamedState("state") }
 
 // NamedState implements operator.Context.
 func (ctx *opContext) NamedState(name string) *statestore.KeyedState {
-	return ctx.task.store.Keyed(ctx.scope + "." + name)
+	store := ctx.task.store
+	if gen := store.Generation(); ctx.named == nil || ctx.stateGen != gen {
+		ctx.named, ctx.stateGen = make(map[string]*statestore.KeyedState), gen
+	}
+	st, ok := ctx.named[name]
+	if !ok {
+		st = store.Keyed(ctx.scope + "." + name)
+		ctx.named[name] = st
+	}
+	return st
 }
 
 // Services implements operator.Context.

@@ -112,7 +112,7 @@ type Task struct {
 	wmMin    int64
 	aligning bool
 	//clonos:ephemeral alignment scratch; no alignment is in progress across a snapshot/restore boundary
-	alignCp types.CheckpointID //clonos:mainthread
+	alignCp      types.CheckpointID //clonos:mainthread
 	barriersSeen []bool
 	barriersLeft int
 	eosSeen      []bool

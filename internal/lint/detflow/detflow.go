@@ -217,7 +217,9 @@ func (c *checker) checkRanges(f *ast.File) {
 
 // isOrderSensitive reports whether a call persists bytes whose order the
 // caller controls: codec encoders, binary appends, hashes, determinant
-// appends, or any local Encode* helper.
+// appends, or any local Encode* helper. The size pass of an encoder
+// (codec.Sizer's EncodedSize, codec.FramedSize, the varint lengths) only
+// adds numbers up, and a sum is the same in any order.
 func (c *checker) isOrderSensitive(call *ast.CallExpr) bool {
 	fn := callee(c.pass, call)
 	if fn == nil || fn.Pkg() == nil {
@@ -225,6 +227,8 @@ func (c *checker) isOrderSensitive(call *ast.CallExpr) bool {
 	}
 	pkg, name := fn.Pkg().Path(), fn.Name()
 	switch {
+	case strings.HasSuffix(name, "Size") || strings.HasSuffix(name, "Len"):
+		return false
 	case pkg == "clonos/internal/codec":
 		return true
 	case pkg == "encoding/binary" && (strings.HasPrefix(name, "Append") || strings.HasPrefix(name, "Put")):

@@ -4,3 +4,6 @@ package codec
 
 // EncodeAppend mimics the real encode entry point.
 func EncodeAppend(dst []byte, v any) ([]byte, error) { return dst, nil }
+
+// FramedSize mimics the size pass: it returns a number, not bytes.
+func FramedSize(v any) int { return 0 }

@@ -28,4 +28,13 @@ func okSortedCodec(dst []byte, m map[int64]int64) []byte {
 	return dst
 }
 
+// okMapSize sums sizes in map order: a sum does not depend on it.
+func okMapSize(m map[int64]int64) int {
+	n := 0
+	for k, v := range m {
+		n += codec.FramedSize(k) + codec.FramedSize(v)
+	}
+	return n
+}
+
 func sortInt64s(k []int64) {}

@@ -104,6 +104,8 @@ func putString(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
+func stringSize(s string) int { return codec.UvarintLen(uint64(len(s))) + len(s) }
+
 func getString(b []byte) (string, int, error) {
 	n, sz := binary.Uvarint(b)
 	if sz <= 0 || uint64(len(b)-sz) < n {
@@ -123,6 +125,11 @@ func encodePerson(dst []byte, p *Person) []byte {
 	return putString(dst, p.Extra)
 }
 
+func personSize(p *Person) int {
+	return codec.UvarintLen(p.ID) + stringSize(p.Name) + stringSize(p.Email) + stringSize(p.City) +
+		stringSize(p.State) + codec.VarintLen(p.DateTime) + stringSize(p.Extra)
+}
+
 // encodeAuction appends a's field encoding (no kind byte).
 func encodeAuction(dst []byte, a *Auction) []byte {
 	dst = binary.AppendUvarint(dst, a.ID)
@@ -137,6 +144,12 @@ func encodeAuction(dst []byte, a *Auction) []byte {
 	return putString(dst, a.Extra)
 }
 
+func auctionSize(a *Auction) int {
+	return codec.UvarintLen(a.ID) + stringSize(a.ItemName) + stringSize(a.Description) +
+		codec.VarintLen(a.InitialBid) + codec.VarintLen(a.Reserve) + codec.VarintLen(a.DateTime) +
+		codec.VarintLen(a.Expires) + codec.UvarintLen(a.Seller) + codec.UvarintLen(a.Category) + stringSize(a.Extra)
+}
+
 // encodeBid appends b's field encoding (no kind byte).
 func encodeBid(dst []byte, b *Bid) []byte {
 	dst = binary.AppendUvarint(dst, b.Auction)
@@ -144,6 +157,11 @@ func encodeBid(dst []byte, b *Bid) []byte {
 	dst = binary.AppendVarint(dst, b.Price)
 	dst = binary.AppendVarint(dst, b.DateTime)
 	return putString(dst, b.Extra)
+}
+
+func bidSize(b *Bid) int {
+	return codec.UvarintLen(b.Auction) + codec.UvarintLen(b.Bidder) + codec.VarintLen(b.Price) +
+		codec.VarintLen(b.DateTime) + stringSize(b.Extra)
 }
 
 // EncodeAppend implements codec.Codec.
@@ -162,6 +180,24 @@ func (EventCodec) EncodeAppend(dst []byte, v any) ([]byte, error) {
 		return encodeBid(dst, e.Bid), nil
 	default:
 		return dst, fmt.Errorf("nexmark: unknown event kind %d", e.Kind)
+	}
+}
+
+// EncodedSize implements codec.Sizer.
+func (EventCodec) EncodedSize(v any) int {
+	e, ok := v.(Event)
+	if !ok {
+		return -1
+	}
+	switch e.Kind {
+	case KindPerson:
+		return 1 + personSize(e.Person)
+	case KindAuction:
+		return 1 + auctionSize(e.Auction)
+	case KindBid:
+		return 1 + bidSize(e.Bid)
+	default:
+		return -1
 	}
 }
 
@@ -275,6 +311,15 @@ func (PersonCodec) EncodeAppend(dst []byte, v any) ([]byte, error) {
 	return encodePerson(dst, &p), nil
 }
 
+// EncodedSize implements codec.Sizer.
+func (PersonCodec) EncodedSize(v any) int {
+	p, ok := v.(Person)
+	if !ok {
+		return -1
+	}
+	return personSize(&p)
+}
+
 // Decode implements codec.Codec.
 func (PersonCodec) Decode(b []byte) (any, error) {
 	c := &cursor{b: b}
@@ -300,6 +345,15 @@ func (AuctionCodec) EncodeAppend(dst []byte, v any) ([]byte, error) {
 	return encodeAuction(dst, &a), nil
 }
 
+// EncodedSize implements codec.Sizer.
+func (AuctionCodec) EncodedSize(v any) int {
+	a, ok := v.(Auction)
+	if !ok {
+		return -1
+	}
+	return auctionSize(&a)
+}
+
 // Decode implements codec.Codec.
 func (AuctionCodec) Decode(b []byte) (any, error) {
 	c := &cursor{b: b}
@@ -323,6 +377,15 @@ func (BidCodec) EncodeAppend(dst []byte, v any) ([]byte, error) {
 		return dst, fmt.Errorf("nexmark: BidCodec got %T", v)
 	}
 	return encodeBid(dst, &bid), nil
+}
+
+// EncodedSize implements codec.Sizer.
+func (BidCodec) EncodedSize(v any) int {
+	bid, ok := v.(Bid)
+	if !ok {
+		return -1
+	}
+	return bidSize(&bid)
 }
 
 // Decode implements codec.Codec.

@@ -51,6 +51,15 @@ func (ResultCodec) EncodeAppend(dst []byte, v any) ([]byte, error) {
 	return dst, nil
 }
 
+// EncodedSize implements codec.Sizer.
+func (ResultCodec) EncodedSize(v any) int {
+	r, ok := v.(Result)
+	if !ok {
+		return -1
+	}
+	return codec.UvarintLen(r.A) + codec.VarintLen(r.B) + 8 + stringSize(r.S) + codec.VarintLen(r.T)
+}
+
 // Decode implements codec.Codec.
 func (ResultCodec) Decode(b []byte) (any, error) {
 	var r Result
@@ -111,6 +120,16 @@ func (q4AccCodec) EncodeAppend(dst []byte, v any) ([]byte, error) {
 	dst = binary.AppendVarint(dst, a.Reserve)
 	dst = binary.AppendVarint(dst, a.Best)
 	return dst, nil
+}
+
+// EncodedSize implements codec.Sizer.
+func (q4AccCodec) EncodedSize(v any) int {
+	a, ok := v.(q4Acc)
+	if !ok {
+		return -1
+	}
+	return 1 + codec.UvarintLen(a.Category) + codec.UvarintLen(a.Seller) +
+		codec.VarintLen(a.Expires) + codec.VarintLen(a.Reserve) + codec.VarintLen(a.Best)
 }
 
 // Decode implements codec.Codec.

@@ -40,6 +40,15 @@ func (wmStateCodec) EncodeAppend(dst []byte, v any) ([]byte, error) {
 	return binary.AppendVarint(dst, s.LastWm), nil
 }
 
+// EncodedSize implements codec.Sizer.
+func (wmStateCodec) EncodedSize(v any) int {
+	s, ok := v.(wmState)
+	if !ok {
+		return -1
+	}
+	return codec.VarintLen(s.MaxTs) + codec.VarintLen(s.Count) + codec.VarintLen(s.LastWm)
+}
+
 // Decode implements codec.Codec.
 func (wmStateCodec) Decode(b []byte) (any, error) {
 	var s wmState
@@ -69,6 +78,15 @@ func (avgAccCodec) EncodeAppend(dst []byte, v any) ([]byte, error) {
 	}
 	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(a.Sum))
 	return binary.AppendVarint(dst, a.N), nil
+}
+
+// EncodedSize implements codec.Sizer.
+func (avgAccCodec) EncodedSize(v any) int {
+	a, ok := v.(avgAcc)
+	if !ok {
+		return -1
+	}
+	return 8 + codec.VarintLen(a.N)
 }
 
 // Decode implements codec.Codec.
@@ -108,6 +126,15 @@ func (maxAccCodec) EncodeAppend(dst []byte, v any) ([]byte, error) {
 	return codec.EncodeAnyFramed(dst, a.Best)
 }
 
+// EncodedSize implements codec.Sizer.
+func (maxAccCodec) EncodedSize(v any) int {
+	a, ok := v.(maxAcc)
+	if !ok {
+		return -1
+	}
+	return sized(9, codec.FramedSize(a.Best))
+}
+
 // Decode implements codec.Codec.
 func (maxAccCodec) Decode(b []byte) (any, error) {
 	if len(b) < 9 {
@@ -138,6 +165,15 @@ func (windowResultCodec) EncodeAppend(dst []byte, v any) ([]byte, error) {
 	dst = binary.AppendVarint(dst, r.Start)
 	dst = binary.AppendVarint(dst, r.End)
 	return codec.EncodeAnyFramed(dst, r.Value)
+}
+
+// EncodedSize implements codec.Sizer.
+func (windowResultCodec) EncodedSize(v any) int {
+	r, ok := v.(WindowResult)
+	if !ok {
+		return -1
+	}
+	return sized(codec.UvarintLen(r.Key)+codec.VarintLen(r.Start)+codec.VarintLen(r.End), codec.FramedSize(r.Value))
 }
 
 // Decode implements codec.Codec.
@@ -193,10 +229,25 @@ func (sessionSliceCodec) EncodeAppend(dst []byte, v any) ([]byte, error) {
 	return dst, nil
 }
 
+// EncodedSize implements codec.Sizer.
+func (sessionSliceCodec) EncodedSize(v any) int {
+	ss, ok := v.([]sessionState)
+	if !ok {
+		return -1
+	}
+	n := codec.UvarintLen(uint64(len(ss)))
+	for _, s := range ss {
+		if n = sized(n+codec.VarintLen(s.Start)+codec.VarintLen(s.End), codec.FramedSize(s.Acc)); n < 0 {
+			return -1
+		}
+	}
+	return n
+}
+
 // Decode implements codec.Codec.
 func (sessionSliceCodec) Decode(b []byte) (any, error) {
 	n, sz := binary.Uvarint(b)
-	if sz <= 0 {
+	if sz <= 0 || n > uint64(len(b)-sz) {
 		return nil, codec.ErrShortBuffer
 	}
 	b = b[sz:]
@@ -244,9 +295,22 @@ func encodeAnySlice(dst []byte, s []any) ([]byte, error) {
 	return dst, nil
 }
 
+// sized adds two encoded sizes, staying negative ("unknown", see
+// codec.Sizer) when either is.
+func sized(a, b int) int {
+	if a < 0 || b < 0 {
+		return -1
+	}
+	return a + b
+}
+
+// anySliceSize sizes what encodeAnySlice writes, which is the built-in
+// []any encoding.
+func anySliceSize(s []any) int { return codec.AnySliceCodec{}.EncodedSize(s) }
+
 func decodeAnySlice(b []byte) ([]any, int, error) {
 	n, sz := binary.Uvarint(b)
-	if sz <= 0 {
+	if sz <= 0 || n > uint64(len(b)-sz) {
 		return nil, 0, codec.ErrShortBuffer
 	}
 	i := sz
@@ -273,6 +337,15 @@ func (joinAccCodec) EncodeAppend(dst []byte, v any) ([]byte, error) {
 		return dst, err
 	}
 	return encodeAnySlice(dst, a.Right)
+}
+
+// EncodedSize implements codec.Sizer.
+func (joinAccCodec) EncodedSize(v any) int {
+	a, ok := v.(*joinAcc)
+	if !ok {
+		return -1
+	}
+	return sized(anySliceSize(a.Left), anySliceSize(a.Right))
 }
 
 // Decode implements codec.Codec.
@@ -319,10 +392,25 @@ func (joinAccMapCodec) EncodeAppend(dst []byte, v any) ([]byte, error) {
 	return dst, nil
 }
 
+// EncodedSize implements codec.Sizer.
+func (joinAccMapCodec) EncodedSize(v any) int {
+	m, ok := v.(map[int64]*joinAcc)
+	if !ok {
+		return -1
+	}
+	n := codec.UvarintLen(uint64(len(m)))
+	for k, a := range m {
+		if n = sized(n+codec.VarintLen(k), (joinAccCodec{}).EncodedSize(a)); n < 0 {
+			return -1
+		}
+	}
+	return n
+}
+
 // Decode implements codec.Codec.
 func (joinAccMapCodec) Decode(b []byte) (any, error) {
 	n, sz := binary.Uvarint(b)
-	if sz <= 0 {
+	if sz <= 0 || n > uint64(len(b)-sz) {
 		return nil, codec.ErrShortBuffer
 	}
 	b = b[sz:]

@@ -478,6 +478,37 @@ func TestKafkaSinkSequencesOutput(t *testing.T) {
 	}
 }
 
+// TestKafkaSinkProducerPerSubtask: the sink operator is shared by the
+// vertex's subtasks; each must write under its own TaskID string (the
+// name recovery asks the topic for), built once, not per record.
+func TestKafkaSinkProducerPerSubtask(t *testing.T) {
+	sink := kafkasim.NewSinkTopic(false)
+	op := NewKafkaSink("k", sink)
+	ctxs := make([]*fakeCtx, 3)
+	for i := range ctxs {
+		ctxs[i] = newFakeCtx()
+		ctxs[i].task = types.TaskID{Vertex: 4, Subtask: int32(i)}
+		ctxs[i].subtasks = len(ctxs)
+	}
+	// A context outside the table the first record built (another vertex,
+	// a subtask past its parallelism) still gets its own name.
+	other := newFakeCtx()
+	other.task = types.TaskID{Vertex: 5, Subtask: 7}
+	for _, ctx := range append(ctxs, other) {
+		if err := op.ProcessRecord(ctx, 0, rec(1, 1, int64(1))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, r := range sink.All() {
+		if want := []string{"v4[0]", "v4[1]", "v4[2]", "v5[7]"}[i]; r.Producer != want {
+			t.Errorf("record %d written as producer %q, want %q", i, r.Producer, want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = op.producer(ctxs[1]) }); n != 0 {
+		t.Errorf("producer name costs %.0f allocations per record, want 0", n)
+	}
+}
+
 func TestProcessOperatorCallbacks(t *testing.T) {
 	var opened, closed bool
 	var wmSeen int64

@@ -1,6 +1,8 @@
 package operator
 
 import (
+	"sync"
+
 	"clonos/internal/kafkasim"
 	"clonos/internal/statestore"
 	"clonos/internal/types"
@@ -154,6 +156,16 @@ type KafkaSink struct {
 	EmitOf func(v any) int64
 	// ExactlyOnceOutput enables the §5.5 determinant piggybacking.
 	ExactlyOnceOutput bool
+
+	// producers holds each subtask's producer name (its TaskID string),
+	// built once by the first record of any subtask: the operator is
+	// shared by the vertex's subtasks, and a name per record was a
+	// measurable share of a saturated sink's CPU.
+	producersOnce sync.Once
+	//clonos:ephemeral derived from the vertex ID and parallelism, rebuilt identically by any process
+	producers []string
+	//clonos:ephemeral the vertex producers was built for
+	producersOf types.VertexID
 }
 
 // NewKafkaSink builds the sink operator.
@@ -176,7 +188,7 @@ func (s *KafkaSink) ProcessRecord(ctx Context, _ int, e types.Element) error {
 		EventTs:  e.Timestamp,
 		EmitMs:   emit,
 		Value:    e.Value,
-		Producer: ctx.TaskID().String(),
+		Producer: s.producer(ctx),
 		Seq:      seq,
 		Epoch:    ctx.Epoch(),
 	}
@@ -185,6 +197,21 @@ func (s *KafkaSink) ProcessRecord(ctx Context, _ int, e types.Element) error {
 	}
 	s.Topic.Append(rec)
 	return nil
+}
+
+// producer returns the calling subtask's producer name.
+func (s *KafkaSink) producer(ctx Context) string {
+	id := ctx.TaskID()
+	s.producersOnce.Do(func() {
+		s.producersOf, s.producers = id.Vertex, make([]string, ctx.NumSubtasks())
+		for i := range s.producers {
+			s.producers[i] = types.TaskID{Vertex: id.Vertex, Subtask: int32(i)}.String()
+		}
+	})
+	if id.Vertex == s.producersOf && int(id.Subtask) < len(s.producers) {
+		return s.producers[id.Subtask]
+	}
+	return id.String()
 }
 
 // RecoverDeterminants implements ExternalRecoverable.

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"clonos/internal/codec"
 	"clonos/internal/types"
 )
 
@@ -92,76 +91,24 @@ func DecodeInFlight(b []byte) ([]InFlightChannel, error) {
 	if b[3] != snapshotVersion {
 		return nil, fmt.Errorf("statestore: unsupported in-flight section version %d (want %d)", b[3], snapshotVersion)
 	}
-	i := snapshotHeadLen
-	nChans, w := binary.Uvarint(b[i:])
-	if w <= 0 {
-		return nil, fmt.Errorf("statestore: in-flight section: %w", codec.ErrShortBuffer)
-	}
-	i += w
-	readBytes := func() ([]byte, error) {
-		n, w := binary.Uvarint(b[i:])
-		if w <= 0 || uint64(len(b)-i-w) < n {
-			return nil, fmt.Errorf("statestore: in-flight section: %w", codec.ErrShortBuffer)
-		}
-		i += w
-		out := b[i : i+int(n)]
-		i += int(n)
-		return out, nil
-	}
-	readUvarint := func() (uint64, error) {
-		v, w := binary.Uvarint(b[i:])
-		if w <= 0 {
-			return 0, fmt.Errorf("statestore: in-flight section: %w", codec.ErrShortBuffer)
-		}
-		i += w
-		return v, nil
-	}
-	out := make([]InFlightChannel, 0, nChans)
-	for c := uint64(0); c < nChans; c++ {
+	r := frameReader{b: b, i: snapshotHeadLen}
+	// A channel takes at least 5 bytes (three ids, two counts), a message 4.
+	out := make([]InFlightChannel, 0, r.count(5))
+	for n := cap(out); n > 0 && r.err == nil; n-- {
 		var ch InFlightChannel
-		edge, err := readUvarint()
-		if err != nil {
-			return nil, err
-		}
-		from, err := readUvarint()
-		if err != nil {
-			return nil, err
-		}
-		to, err := readUvarint()
-		if err != nil {
-			return nil, err
-		}
+		edge, from, to := r.uvarint(), r.uvarint(), r.uvarint()
 		ch.Channel = types.ChannelID{Edge: types.EdgeID(int32(uint32(edge))), From: int32(uint32(from)), To: int32(uint32(to))}
-		if ch.Prefix, err = readBytes(); err != nil {
-			return nil, err
-		}
-		nMsgs, err := readUvarint()
-		if err != nil {
-			return nil, err
-		}
-		ch.Msgs = make([]InFlightMessage, 0, nMsgs)
-		for m := uint64(0); m < nMsgs; m++ {
-			var msg InFlightMessage
-			if msg.Seq, err = readUvarint(); err != nil {
-				return nil, err
-			}
-			epoch, err := readUvarint()
-			if err != nil {
-				return nil, err
-			}
-			msg.Epoch = types.EpochID(epoch)
-			if msg.Data, err = readBytes(); err != nil {
-				return nil, err
-			}
-			if msg.Delta, err = readBytes(); err != nil {
-				return nil, err
-			}
+		ch.Prefix = r.bytes()
+		ch.Msgs = make([]InFlightMessage, 0, r.count(4))
+		for m := cap(ch.Msgs); m > 0 && r.err == nil; m-- {
+			msg := InFlightMessage{Seq: r.uvarint(), Epoch: types.EpochID(r.uvarint())}
+			msg.Data, msg.Delta = r.bytes(), r.bytes()
 			ch.Msgs = append(ch.Msgs, msg)
 		}
 		out = append(out, ch)
 	}
-	if i != len(b) {
-		return nil, fmt.Errorf("statestore: in-flight section: %w", codec.ErrTrailingBytes)
+	if err := r.done(); err != nil {
+		return nil, fmt.Errorf("statestore: in-flight section: %w", err)
 	}
 	return out, nil
 }

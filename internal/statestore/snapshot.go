@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
-	"sort"
 
 	"clonos/internal/codec"
 )
@@ -63,122 +63,143 @@ func checkMagic(b []byte, kind byte) (bool, error) {
 	return true, nil
 }
 
-// appendStateSection encodes a name→(key→value) section with sorted names
-// and sorted keys, so identical logical state yields identical bytes (the
-// audit fingerprint and guided replay both rely on byte determinism).
-func appendStateSection(dst []byte, flat map[string]map[uint64]any) ([]byte, error) {
-	names := make([]string, 0, len(flat))
-	for name := range flat {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	dst = binary.AppendUvarint(dst, uint64(len(names)))
-	var err error
-	for _, name := range names {
-		data := flat[name]
-		dst = binary.AppendUvarint(dst, uint64(len(name)))
-		dst = append(dst, name...)
-		keys := make([]uint64, 0, len(data))
-		for k := range data {
-			keys = append(keys, k)
+// sectionSize is the number of bytes appendSection writes for runs. A
+// value whose codec cannot size it (codec.FramedSize < 0: a user codec
+// without EncodedSize, or the gob fallback) counts as nothing, which
+// leaves the fill pass to grow its buffer by append.
+func sectionSize(runs []keyRun, values bool) int {
+	size := codec.UvarintLen(uint64(len(runs)))
+	for _, r := range runs {
+		size += codec.UvarintLen(uint64(len(r.st.name))) + len(r.st.name) + codec.UvarintLen(uint64(len(r.keys)))
+		for _, k := range r.keys {
+			size += codec.UvarintLen(k)
+			if values {
+				size += max(codec.FramedSize(r.st.data[k]), 0)
+			}
 		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		dst = binary.AppendUvarint(dst, uint64(len(keys)))
-		for _, k := range keys {
+	}
+	return size
+}
+
+// appendSection encodes one planned section (see Store.plan): sorted
+// names and sorted keys, so identical logical state yields identical
+// bytes — the audit fingerprint and guided replay both rely on that.
+// With values it is a name→(key→value) section, without a deletes one.
+func appendSection(dst []byte, runs []keyRun, values bool) ([]byte, error) {
+	dst = binary.AppendUvarint(dst, uint64(len(runs)))
+	var err error
+	for _, r := range runs {
+		dst = binary.AppendUvarint(dst, uint64(len(r.st.name)))
+		dst = append(dst, r.st.name...)
+		dst = binary.AppendUvarint(dst, uint64(len(r.keys)))
+		for _, k := range r.keys {
 			dst = binary.AppendUvarint(dst, k)
-			if dst, err = codec.EncodeAnyFramed(dst, data[k]); err != nil {
-				return dst, fmt.Errorf("statestore: encode %s[%d]: %w", name, k, err)
+			if !values {
+				continue
+			}
+			if dst, err = codec.EncodeAnyFramed(dst, r.st.data[k]); err != nil {
+				return nil, fmt.Errorf("statestore: encode %s[%d]: %w", r.st.name, k, err)
 			}
 		}
 	}
 	return dst, nil
 }
 
-// readStateSection decodes a section written by appendStateSection,
-// returning the bytes consumed.
-func readStateSection(b []byte) (map[string]map[uint64]any, int, error) {
-	nStates, w := binary.Uvarint(b)
-	if w <= 0 {
-		return nil, 0, codec.ErrShortBuffer
+// ErrCorrupt marks a snapshot, delta or in-flight frame whose bytes do
+// not parse: cut short, trailed by extra bytes, or holding a count or
+// length that the bytes left cannot satisfy. It wraps the codec error
+// that says which.
+var ErrCorrupt = errors.New("statestore: corrupt frame")
+
+// frameReader walks a frame's bytes, latching the first error; after
+// one, every read returns zero.
+type frameReader struct {
+	b   []byte
+	i   int
+	err error
+}
+
+func (r *frameReader) fail(err error) {
+	if r.err == nil {
+		r.err = fmt.Errorf("%w at byte %d: %w", ErrCorrupt, r.i, err)
 	}
-	i := w
-	out := make(map[string]map[uint64]any, nStates)
-	for s := uint64(0); s < nStates; s++ {
-		nameLen, w := binary.Uvarint(b[i:])
-		if w <= 0 || uint64(len(b)-i-w) < nameLen {
-			return nil, 0, codec.ErrShortBuffer
-		}
-		i += w
-		name := string(b[i : i+int(nameLen)])
-		i += int(nameLen)
-		nEntries, w := binary.Uvarint(b[i:])
-		if w <= 0 {
-			return nil, 0, codec.ErrShortBuffer
-		}
-		i += w
-		data := make(map[uint64]any, nEntries)
-		for e := uint64(0); e < nEntries; e++ {
-			key, w := binary.Uvarint(b[i:])
-			if w <= 0 {
-				return nil, 0, codec.ErrShortBuffer
-			}
-			i += w
-			v, used, err := codec.DecodeAnyFramed(b[i:])
+}
+
+func (r *frameReader) uvarint() uint64 {
+	if r.err != nil {
+		return 0
+	}
+	v, w := binary.Uvarint(r.b[r.i:])
+	if w <= 0 {
+		r.fail(codec.ErrShortBuffer)
+		return 0
+	}
+	r.i += w
+	return v
+}
+
+// count reads a number of elements that take at least minBytes each. A
+// count the remaining bytes cannot hold is corrupt: it is never trusted
+// for an allocation.
+func (r *frameReader) count(minBytes int) int {
+	n := r.uvarint()
+	if n > uint64((len(r.b)-r.i)/minBytes) {
+		r.fail(codec.ErrShortBuffer)
+		return 0
+	}
+	return int(n)
+}
+
+// bytes reads a length-prefixed byte string, aliasing the frame.
+func (r *frameReader) bytes() []byte {
+	n := r.count(1)
+	r.i += n
+	return r.b[r.i-n : r.i]
+}
+
+// done returns the latched error, or ErrCorrupt for unread bytes.
+func (r *frameReader) done() error {
+	if r.i != len(r.b) {
+		r.fail(codec.ErrTrailingBytes)
+	}
+	return r.err
+}
+
+// readStateSection decodes a section written by appendSection with
+// values.
+func readStateSection(r *frameReader) map[string]map[uint64]any {
+	out := make(map[string]map[uint64]any)
+	for n := r.count(2); n > 0 && r.err == nil; n-- {
+		name := string(r.bytes())
+		entries := r.count(3)
+		data := make(map[uint64]any, entries)
+		for ; entries > 0 && r.err == nil; entries-- {
+			key := r.uvarint()
+			v, used, err := codec.DecodeAnyFramed(r.b[r.i:])
 			if err != nil {
-				return nil, 0, fmt.Errorf("statestore: decode %s[%d]: %w", name, key, err)
+				r.fail(fmt.Errorf("decode %s[%d]: %w", name, key, err))
 			}
-			i += used
+			r.i += used
 			data[key] = v
 		}
 		out[name] = data
 	}
-	return out, i, nil
+	return out
 }
 
-// readBinaryDelta decodes the body (after the header) of a version-2
-// delta frame.
-func readBinaryDelta(b []byte) (delta, error) {
-	var d delta
-	changes, used, err := readStateSection(b)
-	if err != nil {
-		return d, err
-	}
-	d.Changes = changes
-	i := used
-	nStates, w := binary.Uvarint(b[i:])
-	if w <= 0 {
-		return d, codec.ErrShortBuffer
-	}
-	i += w
-	d.Deletes = make(map[string][]uint64, nStates)
-	for s := uint64(0); s < nStates; s++ {
-		nameLen, w := binary.Uvarint(b[i:])
-		if w <= 0 || uint64(len(b)-i-w) < nameLen {
-			return d, codec.ErrShortBuffer
-		}
-		i += w
-		name := string(b[i : i+int(nameLen)])
-		i += int(nameLen)
-		nKeys, w := binary.Uvarint(b[i:])
-		if w <= 0 {
-			return d, codec.ErrShortBuffer
-		}
-		i += w
-		keys := make([]uint64, 0, nKeys)
-		for k := uint64(0); k < nKeys; k++ {
-			key, w := binary.Uvarint(b[i:])
-			if w <= 0 {
-				return d, codec.ErrShortBuffer
-			}
-			i += w
-			keys = append(keys, key)
+// readBinaryDelta decodes the body of a delta frame: a changes section,
+// then the deletes written by appendSection without values.
+func readBinaryDelta(r *frameReader) delta {
+	d := delta{Changes: readStateSection(r), Deletes: make(map[string][]uint64)}
+	for n := r.count(2); n > 0 && r.err == nil; n-- {
+		name := string(r.bytes())
+		keys := make([]uint64, r.count(1))
+		for i := range keys {
+			keys[i] = r.uvarint()
 		}
 		d.Deletes[name] = keys
 	}
-	if i != len(b) {
-		return d, fmt.Errorf("statestore: apply delta: %w", codec.ErrTrailingBytes)
-	}
-	return d, nil
+	return d
 }
 
 // decodeLegacySnapshot decodes a pre-binary (gob) full snapshot image.

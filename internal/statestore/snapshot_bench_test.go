@@ -2,8 +2,8 @@ package statestore_test
 
 // Budget tests for the binary snapshot encoding (see
 // internal/hotbench/snapshot.go for the scenario definitions): the
-// checkpoint path must hold its near-zero per-entry allocation profile
-// and its margin over the legacy gob encoding it replaced.
+// checkpoint path must hold its one-allocation profile and its margin
+// over the legacy gob encoding it replaced.
 
 import (
 	"testing"
@@ -22,18 +22,20 @@ func snapshotScenarioByName(t testing.TB, name string) hotbench.SnapshotScenario
 }
 
 // TestSnapshotEncodeAllocBudget fences per-entry allocations of the full
-// and delta snapshot paths. The binary frame appends typed encodings
-// into one grown buffer, so steady-state cost is amortized slice growth
-// plus the sort scratch — well under one allocation per entry (measured
-// ~0.01 full, ~0.3 delta; the delta budget also absorbs its per-op
-// change-map rebuild).
+// and delta snapshot paths. The encoder sizes its frame, allocates it
+// once and fills it, so a full snapshot is one allocation whatever the
+// entry count and value size (measured 0.001 per entry at 1024 entries;
+// TestSnapshotAllocsConstant pins the exact count). The delta scenario
+// includes the Puts that dirty its keys, which rebuild the dirty-set map
+// each round (measured ~0.11 per entry).
 func TestSnapshotEncodeAllocBudget(t *testing.T) {
 	cases := []struct {
 		name   string
 		budget float64 // max allocs per encoded entry
 	}{
-		{"snapshot-encode", 0.5},
-		{"delta-encode", 1.0},
+		{"snapshot-encode", 0.01},
+		{"snapshot-encode-2k", 0.01},
+		{"delta-encode", 0.25},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -48,9 +50,9 @@ func TestSnapshotEncodeAllocBudget(t *testing.T) {
 				}
 			})
 			perEntry := perRun / float64(sc.Entries)
-			t.Logf("%s: %.3f allocs/entry (budget %.1f)", tc.name, perEntry, tc.budget)
+			t.Logf("%s: %.3f allocs/entry (budget %.2f)", tc.name, perEntry, tc.budget)
 			if perEntry > tc.budget {
-				t.Errorf("%s: %.3f allocs/entry exceeds budget %.1f — the binary snapshot path regressed",
+				t.Errorf("%s: %.3f allocs/entry exceeds budget %.2f — the binary snapshot path regressed",
 					tc.name, perEntry, tc.budget)
 			}
 		})

@@ -4,12 +4,9 @@
 package statestore
 
 import (
-	"encoding/binary"
 	"encoding/gob"
-	"fmt"
-	"sort"
-
-	"clonos/internal/codec"
+	"slices"
+	"strings"
 )
 
 // Register makes a concrete value type encodable inside snapshots. Every
@@ -78,14 +75,13 @@ func (k *KeyedState) SortedKeys() []uint64 {
 	for key := range k.data {
 		keys = append(keys, key)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
 	return keys
 }
 
 // AppendList treats the value under key as a []any list and appends v.
 func (k *KeyedState) AppendList(key uint64, v any) {
-	list, _ := k.data[key].([]any)
-	k.Put(key, append(list, v))
+	k.Put(key, append(k.List(key), v))
 }
 
 // List returns the []any list under key (nil when absent).
@@ -105,6 +101,15 @@ func (k *KeyedState) Clear() {
 // Store holds all named keyed states of one task.
 type Store struct {
 	states map[string]*KeyedState
+	// gen counts Restores. Restore replaces every KeyedState, so a caller
+	// that keeps a handle from Keyed re-resolves it when gen has moved.
+	gen uint64
+	// Snapshot scratch, kept between checkpoints so that encoding one
+	// allocates nothing but its output: the states in name order, and
+	// the sorted keys each contributes to the section being encoded.
+	order []*KeyedState
+	keys  []uint64
+	runs  []keyRun
 }
 
 // NewStore creates an empty store.
@@ -122,40 +127,93 @@ func (s *Store) Keyed(name string) *KeyedState {
 	return st
 }
 
+// Generation changes whenever Restore has replaced the store's contents
+// and with them every *KeyedState that Keyed handed out before.
+func (s *Store) Generation() uint64 { return s.gen }
+
 // Names returns the registered state names in sorted order.
 func (s *Store) Names() []string {
 	names := make([]string, 0, len(s.states))
 	for n := range s.states {
 		names = append(names, n)
 	}
-	sort.Strings(names)
+	slices.Sort(names)
 	return names
 }
 
-// TotalEntries reports the number of (state, key) entries, an inexpensive
-// size proxy used by metrics.
-func (s *Store) TotalEntries() int {
-	n := 0
+// selection names the keys of each state that one snapshot section holds.
+type selection int
+
+const (
+	selAll     selection = iota // every key: a full snapshot
+	selChanged                  // dirty keys that hold a value: a delta's changes
+	selDeleted                  // dirty keys that hold none: a delta's deletes
+)
+
+// keyRun is one state's share of a section: its selected keys, sorted,
+// in the store's key scratch.
+type keyRun struct {
+	st   *KeyedState
+	keys []uint64
+}
+
+// begin resets the snapshot scratch and puts the states in name order.
+func (s *Store) begin() {
+	s.order, s.keys, s.runs = s.order[:0], s.keys[:0], s.runs[:0]
 	for _, st := range s.states {
-		n += len(st.data)
+		s.order = append(s.order, st)
 	}
-	return n
+	slices.SortFunc(s.order, func(a, b *KeyedState) int { return strings.Compare(a.name, b.name) })
+}
+
+// plan lays out one section after begin: per state in name order, the
+// selected keys sorted. A delta section leaves out the states it selects
+// nothing from; a full one keeps empty states.
+func (s *Store) plan(sel selection) []keyRun {
+	first := len(s.runs)
+	for _, st := range s.order {
+		from := len(s.keys)
+		if sel == selAll {
+			for k := range st.data {
+				s.keys = append(s.keys, k)
+			}
+		} else {
+			for k := range st.dirty {
+				if _, live := st.data[k]; live == (sel == selChanged) {
+					s.keys = append(s.keys, k)
+				}
+			}
+		}
+		if keys := s.keys[from:]; len(keys) > 0 || sel == selAll {
+			slices.Sort(keys)
+			s.runs = append(s.runs, keyRun{st, keys})
+		}
+	}
+	return s.runs[first:]
+}
+
+// Walk visits every state in name order with its keys ascending: the
+// order Snapshot encodes and the audit fingerprint hashes. keys is the
+// store's scratch, valid until the next Walk or snapshot.
+func (s *Store) Walk(visit func(st *KeyedState, keys []uint64) error) error {
+	s.begin()
+	for _, r := range s.plan(selAll) {
+		if err := visit(r.st, r.keys); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Snapshot serializes every state to bytes: a versioned binary frame of
 // typed-codec-encoded entries (see snapshot.go), deterministic for equal
-// logical state.
+// logical state. It sizes the frame, allocates it once and fills it, so
+// len == cap on return whenever every value's codec is a codec.Sizer.
 func (s *Store) Snapshot() ([]byte, error) {
-	flat := make(map[string]map[uint64]any, len(s.states))
-	for name, st := range s.states {
-		flat[name] = st.data
-	}
-	out := appendMagic(make([]byte, 0, 64+16*s.TotalEntries()), magicKindFull)
-	out, err := appendStateSection(out, flat)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	s.begin()
+	runs := s.plan(selAll)
+	out := appendMagic(make([]byte, 0, snapshotHeadLen+sectionSize(runs, true)), magicKindFull)
+	return appendSection(out, runs, true)
 }
 
 // Restore replaces the store contents with a snapshot produced by
@@ -164,7 +222,7 @@ func (s *Store) Snapshot() ([]byte, error) {
 // the reflective path. Dirty tracking is reset: the next delta snapshot
 // is computed against the restore point.
 func (s *Store) Restore(snapshot []byte) error {
-	s.states = make(map[string]*KeyedState)
+	*s = Store{states: make(map[string]*KeyedState), gen: s.gen + 1}
 	if len(snapshot) == 0 {
 		return nil
 	}
@@ -174,15 +232,13 @@ func (s *Store) Restore(snapshot []byte) error {
 		return err
 	}
 	if binaryFrame {
-		var used int
-		flat, used, err = readStateSection(snapshot[snapshotHeadLen:])
-		if err != nil {
-			return err
-		}
-		if snapshotHeadLen+used != len(snapshot) {
-			return fmt.Errorf("statestore: restore: %w", codec.ErrTrailingBytes)
-		}
-	} else if flat, err = decodeLegacySnapshot(snapshot); err != nil {
+		r := frameReader{b: snapshot, i: snapshotHeadLen}
+		flat = readStateSection(&r)
+		err = r.done()
+	} else {
+		flat, err = decodeLegacySnapshot(snapshot)
+	}
+	if err != nil {
 		return err
 	}
 	for name, data := range flat {
@@ -194,7 +250,7 @@ func (s *Store) Restore(snapshot []byte) error {
 	return nil
 }
 
-// delta is the serialized form of an incremental snapshot: the changed
+// delta is the decoded form of an incremental snapshot: the changed
 // entries and deleted keys of every state since the previous snapshot.
 type delta struct {
 	Changes map[string]map[uint64]any
@@ -204,53 +260,26 @@ type delta struct {
 // DeltaSnapshot serializes only the entries changed since the previous
 // (full or delta) snapshot and resets the dirty sets — the §6.4
 // incremental checkpoint: the dispatch cost depends on the state's delta
-// rather than its absolute size.
+// rather than its absolute size. Sized, allocated and filled like
+// Snapshot.
 func (s *Store) DeltaSnapshot() ([]byte, error) {
-	d := delta{Changes: make(map[string]map[uint64]any), Deletes: make(map[string][]uint64)}
-	for name, st := range s.states {
-		for key := range st.dirty {
-			if v, ok := st.data[key]; ok {
-				m := d.Changes[name]
-				if m == nil {
-					m = make(map[uint64]any)
-					d.Changes[name] = m
-				}
-				m[key] = v
-			} else {
-				d.Deletes[name] = append(d.Deletes[name], key)
-			}
-		}
-		st.dirty = nil
-	}
-	out := appendMagic(make([]byte, 0, 64), magicKindDelta)
-	out, err := appendStateSection(out, d.Changes)
+	s.begin()
+	changes, deletes := s.plan(selChanged), s.plan(selDeleted)
+	size := snapshotHeadLen + sectionSize(changes, true) + sectionSize(deletes, false)
+	out, err := appendSection(appendMagic(make([]byte, 0, size), magicKindDelta), changes, true)
 	if err != nil {
 		return nil, err
 	}
-	names := make([]string, 0, len(d.Deletes))
-	for name := range d.Deletes {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	out = binary.AppendUvarint(out, uint64(len(names)))
-	for _, name := range names {
-		out = binary.AppendUvarint(out, uint64(len(name)))
-		out = append(out, name...)
-		keys := d.Deletes[name]
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		out = binary.AppendUvarint(out, uint64(len(keys)))
-		for _, k := range keys {
-			out = binary.AppendUvarint(out, k)
-		}
-	}
-	return out, nil
+	s.ResetDirty()
+	return appendSection(out, deletes, false)
 }
 
 // ResetDirty clears dirty tracking without snapshotting (used right after
-// a full snapshot, whose delta baseline is the full image).
+// a full snapshot, whose delta baseline is the full image). The sets are
+// emptied in place, so the next epoch's Puts refill them without regrowing.
 func (s *Store) ResetDirty() {
 	for _, st := range s.states {
-		st.dirty = nil
+		clear(st.dirty)
 	}
 }
 
@@ -264,10 +293,13 @@ func (s *Store) ApplyDelta(b []byte) error {
 		return err
 	}
 	if binaryFrame {
-		if d, err = readBinaryDelta(b[snapshotHeadLen:]); err != nil {
-			return err
-		}
-	} else if d, err = decodeLegacyDelta(b); err != nil {
+		r := frameReader{b: b, i: snapshotHeadLen}
+		d = readBinaryDelta(&r)
+		err = r.done()
+	} else {
+		d, err = decodeLegacyDelta(b)
+	}
+	if err != nil {
 		return err
 	}
 	for name, changes := range d.Changes {

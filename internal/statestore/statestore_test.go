@@ -109,7 +109,7 @@ func TestRestoreCorruptSnapshot(t *testing.T) {
 	}
 }
 
-func TestNamesAndTotalEntries(t *testing.T) {
+func TestNamesAndLen(t *testing.T) {
 	s := NewStore()
 	s.Keyed("b").Put(1, int64(1))
 	s.Keyed("a").Put(1, int64(1))
@@ -118,8 +118,8 @@ func TestNamesAndTotalEntries(t *testing.T) {
 	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
 		t.Fatalf("names = %v", names)
 	}
-	if s.TotalEntries() != 3 {
-		t.Fatalf("entries = %d, want 3", s.TotalEntries())
+	if n := s.Keyed("a").Len() + s.Keyed("b").Len(); n != 3 {
+		t.Fatalf("entries = %d, want 3", n)
 	}
 }
 

@@ -66,6 +66,15 @@ func (stageStateCodec) EncodeAppend(dst []byte, v any) ([]byte, error) {
 	return append(dst, s.Payload...), nil
 }
 
+// EncodedSize implements codec.Sizer.
+func (stageStateCodec) EncodedSize(v any) int {
+	s, ok := v.(stageState)
+	if !ok {
+		return -1
+	}
+	return codec.VarintLen(s.Count) + codec.UvarintLen(uint64(len(s.Payload))) + len(s.Payload)
+}
+
 // Decode implements codec.Codec.
 func (stageStateCodec) Decode(b []byte) (any, error) {
 	var s stageState

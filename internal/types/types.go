@@ -3,7 +3,10 @@
 // identifiers for vertices, tasks, channels, and epochs.
 package types
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // VertexID identifies a logical operator (chain) in the dataflow graph.
 type VertexID int32
@@ -15,7 +18,7 @@ type TaskID struct {
 }
 
 func (t TaskID) String() string {
-	return fmt.Sprintf("v%d[%d]", t.Vertex, t.Subtask)
+	return "v" + strconv.Itoa(int(t.Vertex)) + "[" + strconv.Itoa(int(t.Subtask)) + "]"
 }
 
 // EdgeID identifies a logical edge (shuffle) between two vertices.
