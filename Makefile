@@ -1,6 +1,9 @@
-# Run the engine's test binaries serially (-p 1): the scaled heartbeat
-# and checkpoint timings starve under Go's default parallel package
-# execution on small machines (see README "Testing").
+# The tier-1 gate runs the stock command, `go test ./...`, with Go's
+# default parallel package execution. It used to need `-p 1`: a task's
+# heartbeat goroutine starved by another package's test binary got a
+# *live* task declared dead (and then crashed for good by the recovery).
+# A task is now declared failed only when it has crashed, so a slow
+# machine makes tests slow, not wrong (see README "Testing").
 
 GO ?= go
 
@@ -15,7 +18,7 @@ build:
 # repository's benchmark from building fails the gate, not the next PR's
 # measurement.
 check: build fmt-check
-	$(GO) test -p 1 ./...
+	$(GO) test ./...
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # fmt-check lists every Go file of the root module and bench/ that gofmt
@@ -43,10 +46,11 @@ lint:
 lint-json:
 	$(GO) run ./cmd/clonos-vet -json ./... > findings.json
 
-# Packages whose tests drive full jobs with scaled heartbeat and
-# checkpoint timings. Under the race detector's 5-20x slowdown they
-# starve when other test binaries compete for the machine, so only
-# these run serially; everything else races in parallel. (This replaced
+# Packages whose tests drive full jobs with scaled checkpoint timings
+# and wall-clock budgets (sustained-load generators, stall budgets).
+# Under the race detector's 5-20x slowdown those budgets run out when
+# other test binaries compete for the machine, so only these run
+# serially; everything else races in parallel. (This replaced
 # a blanket `-p 1`, which serialized four dozen packages to protect
 # five.)
 RACE_SERIAL := . ./internal/job ./internal/nexmark ./internal/synthetic ./internal/harness ./examples/...

@@ -176,11 +176,14 @@ func (j *Job) Stop() { j.rt.Stop() }
 // timeout elapses; it reports whether the job finished.
 func (j *Job) WaitFinished(timeout time.Duration) bool { return j.rt.WaitFinished(timeout) }
 
-// InjectFailure crashes one task; the failure detector drives recovery.
+// InjectFailure crashes one task. The crash itself wakes the runtime's
+// liveness loop, which declares the failure and starts recovery at once
+// (on its own goroutine: the call returns without waiting for either).
 func (j *Job) InjectFailure(id TaskID) error { return j.rt.InjectFailure(id) }
 
 // InjectNodeFailure crashes every task (and destroys any standby) on a
-// simulated cluster node; requires Config.Nodes > 0.
+// simulated cluster node, all at one instant — they are declared failed
+// together; requires Config.Nodes > 0.
 func (j *Job) InjectNodeFailure(node int) error { return j.rt.InjectNodeFailure(node) }
 
 // NodeOf reports the simulated node hosting a task (-1 when node

@@ -254,8 +254,13 @@ type Coordinator struct {
 	started   time.Time
 	completed types.CheckpointID
 	paused    bool
-	span      *obs.Span       // epoch span for the in-flight checkpoint
-	marked    map[string]bool // span marks already recorded (dedup)
+	// completing is true while the completion callback of a just-finished
+	// checkpoint runs (without mu); callbackDone is signalled when it
+	// returns. Pause waits on it.
+	completing   bool
+	callbackDone *sync.Cond
+	span         *obs.Span       // epoch span for the in-flight checkpoint
+	marked       map[string]bool // span marks already recorded (dedup)
 
 	stop chan struct{}
 	done sync.WaitGroup
@@ -265,7 +270,7 @@ type Coordinator struct {
 // ack each checkpoint; trigger injects the barrier RPC at the sources;
 // complete fires when all acks arrive.
 func NewCoordinator(interval, timeout time.Duration, expected func() []types.TaskID, trigger, complete func(cp types.CheckpointID)) *Coordinator {
-	return &Coordinator{
+	c := &Coordinator{
 		interval: interval,
 		timeout:  timeout,
 		expected: expected,
@@ -274,6 +279,8 @@ func NewCoordinator(interval, timeout time.Duration, expected func() []types.Tas
 		next:     1,
 		stop:     make(chan struct{}),
 	}
+	c.callbackDone = sync.NewCond(&c.mu)
+	return c
 }
 
 // Instrument attaches progress metrics. Call before Start.
@@ -355,6 +362,13 @@ func (c *Coordinator) Stop() {
 // flight so no truncation races with in-flight replay) and aborts any
 // checkpoint currently in flight — a failed task would never ack it, and
 // its barriers may be lost with the failure. Resume re-enables.
+//
+// A checkpoint that has just completed is not aborted: Pause returns only
+// after its completion callback has, so the caller sees either all of a
+// checkpoint's completion effects (marked completed, logs truncated,
+// standby state dispatched) or none — never the callback's first half,
+// which would let a recovery restore checkpoint N-1 under N's
+// truncations. Must not be called from the completion callback.
 func (c *Coordinator) Pause() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -365,6 +379,9 @@ func (c *Coordinator) Pause() {
 	}
 	c.current = 0
 	c.acked = nil
+	for c.completing {
+		c.callbackDone.Wait()
+	}
 }
 
 // Resume re-enables checkpointing after a Pause. An in-flight checkpoint
@@ -439,11 +456,14 @@ func (c *Coordinator) finishLocked() {
 	c.metrics.Duration.ObserveSince(c.started)
 	c.endSpanLocked("")
 	complete := c.complete
+	c.completing = true
 	c.mu.Unlock()
 	if complete != nil {
 		complete(cp)
 	}
 	c.mu.Lock()
+	c.completing = false
+	c.callbackDone.Broadcast()
 }
 
 func (c *Coordinator) run() {

@@ -255,6 +255,55 @@ func TestCoordinatorPauseAbortsInFlight(t *testing.T) {
 	}
 }
 
+// TestCoordinatorPauseWaitsForCompletionCallback pins the recovery
+// contract of Pause: a checkpoint whose completion callback is running
+// (marking it completed, truncating logs) is past aborting, so Pause must
+// not return — and let a recovery read the latest completed checkpoint —
+// until the callback has.
+func TestCoordinatorPauseWaitsForCompletionCallback(t *testing.T) {
+	a := tid(0, 0)
+	entered, release := make(chan struct{}), make(chan struct{})
+	triggered := make(chan types.CheckpointID, 1)
+	c := NewCoordinator(10*time.Millisecond, 10*time.Second,
+		func() []types.TaskID { return []types.TaskID{a} },
+		func(cp types.CheckpointID) {
+			select {
+			case triggered <- cp:
+			default:
+			}
+		},
+		func(types.CheckpointID) {
+			close(entered)
+			<-release
+		})
+	c.Start()
+	defer c.Stop()
+
+	cp := <-triggered
+	go c.Ack(cp, a) // runs the parked callback
+	<-entered
+
+	paused := make(chan struct{})
+	go func() {
+		c.Pause()
+		close(paused)
+	}()
+	select {
+	case <-paused:
+		t.Fatal("Pause returned while the completion callback was still running")
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(release)
+	select {
+	case <-paused:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Pause still blocked after the completion callback returned")
+	}
+	if c.LatestCompleted() != cp {
+		t.Fatalf("latest = %d, want %d", c.LatestCompleted(), cp)
+	}
+}
+
 func TestCoordinatorReset(t *testing.T) {
 	a := tid(0, 0)
 	h := newHarness(a)

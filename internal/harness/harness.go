@@ -57,7 +57,8 @@ type RunResult struct {
 	SinkCount  int
 	Duplicates uint64
 	Errors     []error
-	// FailTimes are the wall-clock instants of injected failures.
+	// FailTimes are the instants of injected failures, as the runtime
+	// recorded them (EventFailureInjected, stamped before the crash).
 	FailTimes []time.Time
 	// Spans are the runtime's ended tracer spans (recovery protocol
 	// phases, global restarts).
@@ -149,13 +150,31 @@ func Run(spec RunSpec) (RunResult, error) {
 			res.Obs = rt.Obs()
 			return res, nil
 		case <-next:
+			// The failure instant is the runtime's own, recorded before
+			// the crash: detection follows the crash within microseconds,
+			// on another goroutine, so a stamp taken after InjectFailure
+			// returns can postdate the detection event and the recovery
+			// span it is meant to precede.
+			at := time.Now()
 			if err := rt.InjectFailure(pending[0].Task); err != nil {
 				res.Errors = append(res.Errors, err)
+			} else if ev, ok := lastEvent(rt.Events(), job.EventFailureInjected, pending[0].Task); ok {
+				at = ev.Time
 			}
-			res.FailTimes = append(res.FailTimes, time.Now())
+			res.FailTimes = append(res.FailTimes, at)
 			pending = pending[1:]
 		}
 	}
+}
+
+// lastEvent returns the newest recorded event of one kind for one task.
+func lastEvent(events []job.Event, kind job.EventKind, task types.TaskID) (job.Event, bool) {
+	for i := len(events) - 1; i >= 0; i-- {
+		if events[i].Kind == kind && events[i].Task == task {
+			return events[i], true
+		}
+	}
+	return job.Event{}, false
 }
 
 // SteadyThroughput is the mean sample rate after discarding the warm-up
@@ -341,6 +360,9 @@ func medianSummary(sums []recoverySummary) (recoverySummary, int) {
 func fmtDur(d time.Duration, ok bool) string {
 	if !ok {
 		return "n/a"
+	}
+	if d < 10*time.Millisecond {
+		return d.Round(10 * time.Microsecond).String() // break detection, protocol phases
 	}
 	return d.Round(10 * time.Millisecond).String()
 }

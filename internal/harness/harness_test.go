@@ -80,6 +80,12 @@ func TestFig6SingleSmoke(t *testing.T) {
 	if byName["clonos"].Summary.Restarted {
 		t.Error("clonos run globally restarted")
 	}
+	// The failure instant is the runtime's injection event, so a detection
+	// that follows the crash within microseconds still lands after it: the
+	// summary must see it, and the recovery span it opened.
+	if sum := byName["clonos"].Summary; sum.Detection <= 0 || len(sum.Phases) == 0 {
+		t.Errorf("clonos summary lost the recovery: detection=%v phases=%v", sum.Detection, sum.Phases)
+	}
 	if !strings.Contains(buf.String(), "time series") {
 		t.Error("series not printed")
 	}

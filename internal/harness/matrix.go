@@ -327,7 +327,7 @@ func runMatrixCell(load float64, stateBytes int, failure, mode string, opt Matri
 		StateBytesPerKey: stateBytes,
 		Failure:          failure,
 		Mode:             mode,
-		DetectionMs:      float64(med.Detection.Milliseconds()),
+		DetectionMs:      float64(med.Detection) / float64(time.Millisecond),
 		RecoveryMs:       float64(med.Recovery.Milliseconds()),
 		RecoveryOK:       med.RecoveryOK,
 		ThroughputGapMs:  float64(med.ThroughputGap.Milliseconds()),
@@ -356,7 +356,7 @@ func PrintMatrix(w io.Writer, report *MatrixReport) {
 			fmt.Sprintf("%d", c.StateBytesPerKey),
 			c.Failure,
 			mode,
-			fmtDur(time.Duration(c.DetectionMs)*time.Millisecond, c.DetectionMs > 0),
+			fmtDur(time.Duration(c.DetectionMs*float64(time.Millisecond)), c.DetectionMs > 0),
 			fmtDur(time.Duration(c.RecoveryMs)*time.Millisecond, c.RecoveryOK),
 			fmt.Sprintf("%dms", c.LatencyP50Ms),
 			fmt.Sprintf("%dms", c.LatencyP99Ms),

@@ -45,8 +45,11 @@ func TestChaosMonkey(t *testing.T) {
 			t.Fatalf("seed %d: no checkpoint: %v", seed, r.Errors())
 		}
 
-		// Random victims across all vertices (0..3), random gaps —
-		// sometimes bursts of concurrent kills, sometimes spaced out.
+		// Random victims across all vertices (0..3), random gaps drawn
+		// against a recovery of some tens of milliseconds: back to back
+		// (the next kill races the declaration of the previous one), a
+		// few milliseconds apart (inside the recovery in progress), or
+		// spaced out past it.
 		for k := 0; k < kills; k++ {
 			victim := types.TaskID{
 				Vertex:  types.VertexID(rng.Intn(4)),
@@ -56,8 +59,11 @@ func TestChaosMonkey(t *testing.T) {
 				victim.Subtask = 0 // sink parallelism 1
 			}
 			_ = r.InjectFailure(victim) // may hit an already-dead task: fine
-			if rng.Intn(3) > 0 {
-				time.Sleep(time.Duration(rng.Intn(900)) * time.Millisecond)
+			switch rng.Intn(3) {
+			case 1:
+				time.Sleep(time.Duration(rng.Intn(10)) * time.Millisecond)
+			case 2:
+				time.Sleep(time.Duration(rng.Intn(300)) * time.Millisecond)
 			}
 		}
 

@@ -74,7 +74,11 @@ type Config struct {
 
 	CheckpointInterval time.Duration
 	CheckpointTimeout  time.Duration
-	HeartbeatTimeout   time.Duration
+	// HeartbeatTimeout bounds failure detection; it is not a wait. A
+	// crash is declared at the break, in both modes; a quarter of this is
+	// the period of the fallback sweep for a dead task whose wake-up could
+	// not be acted on (see Runtime.liveness). It also scales RestartDelay.
+	HeartbeatTimeout time.Duration
 
 	// BufferSize is the network-buffer size in bytes.
 	BufferSize int

@@ -98,10 +98,10 @@ func (r *Runtime) InjectNodeFailure(node int) error {
 		return fmt.Errorf("job: node simulation disabled (Config.Nodes == 0)")
 	}
 	r.mu.Lock()
-	var victims []*Task
-	for id, t := range r.tasks {
+	var victims []types.TaskID
+	for id := range r.tasks {
 		if r.nodeOf[id] == node && !r.finished[id] {
-			victims = append(victims, t)
+			victims = append(victims, id)
 		}
 	}
 	var lostStandbys []types.TaskID
@@ -119,9 +119,7 @@ func (r *Runtime) InjectNodeFailure(node int) error {
 	}
 	r.mu.Unlock()
 	r.recordEvent(EventNodeFailure, types.TaskID{}, fmt.Sprintf("node=%d tasks=%d standbys-lost=%d", node, len(victims), len(lostStandbys)))
-	for _, t := range victims {
-		r.recordEvent(EventFailureInjected, t.id, fmt.Sprintf("node=%d", node))
-		t.crash()
-	}
+	// A node's tasks die at one instant.
+	r.crashAll(victims, fmt.Sprintf("node=%d", node))
 	return nil
 }

@@ -70,6 +70,10 @@ type outChannel struct {
 	resetPending bool
 	// replayActive guards against concurrent replay goroutines.
 	replayActive bool
+	// reconnects counts replay requests and direct resumes: a send that
+	// fails after the receiver's recovery re-armed the channel must not
+	// flip it back to pending (see maybeTransmit).
+	reconnects uint64
 
 	// retryWake is signalled (capacity 1, never blocking) whenever the
 	// receiving side may have become able to accept a previously rejected
@@ -187,6 +191,7 @@ func (oc *outChannel) maybeTransmit(m *netstack.Message) error {
 	oc.mu.Lock()
 	send := !oc.pending && m.Seq > oc.sentUpTo && m.Seq > oc.dedupUpTo
 	dedup := !oc.pending && m.Seq > oc.sentUpTo && m.Seq <= oc.dedupUpTo
+	reconnects := oc.reconnects
 	if send {
 		oc.sentUpTo = m.Seq
 		if oc.resetPending {
@@ -217,8 +222,15 @@ func (oc *outChannel) maybeTransmit(m *netstack.Message) error {
 	}
 	m.Release()
 	if errors.Is(err, netstack.ErrChannelBroken) {
+		// The receiver died under this send. If its recovery has re-armed
+		// the channel since the send was decided, the replay (or resume)
+		// owns the connection now and this buffer is in its log: flipping
+		// to pending here would strand the channel behind a hand-over
+		// that has already happened.
 		oc.mu.Lock()
-		oc.pending = true
+		if oc.reconnects == reconnects {
+			oc.pending = true
+		}
 		oc.mu.Unlock()
 		return nil
 	}
@@ -305,8 +317,13 @@ func (oc *outChannel) PrepareReplay(fromEpoch types.EpochID, afterSeq uint64) (u
 		start = afterSeq + 1
 	}
 	oc.pending = true
+	oc.reconnects++
 	oc.replaySeq = start
 	oc.sentUpTo = start - 1
+	// The requester holds nothing at or past start: a dedup floor sampled
+	// from its predecessor (which died after this task's own recovery
+	// sampled it) must not withhold those buffers from it.
+	oc.dedupUpTo = min(oc.dedupUpTo, start-1)
 	spawn := !oc.replayActive
 	oc.replayActive = true
 	oc.mu.Unlock()
@@ -357,6 +374,9 @@ func (oc *outChannel) replayLoop() {
 				oc.pending = false
 				oc.replayActive = false
 				oc.mu.Unlock()
+				if ep := oc.task.env.net.Endpoint(oc.id); ep != nil {
+					ep.ReplayDone()
+				}
 				return
 			}
 			oc.mu.Unlock()
@@ -428,6 +448,7 @@ func (oc *outChannel) resumeDirect(afterSeq uint64) {
 	}
 	oc.sentUpTo = oc.nextSeq - 1
 	oc.pending = false
+	oc.reconnects++
 	oc.resetPending = true
 	oc.mu.Unlock()
 	oc.wakeReplay()

@@ -85,24 +85,21 @@ func (r *Runtime) localRecover(failed types.TaskID) (escalate string) {
 	}
 	r.mu.Unlock()
 
-	// The detector opened a span for this failure; mark the protocol's
-	// phase boundaries on it as the steps below complete.
+	// The liveness loop opened a span for this failure; mark the
+	// protocol's phase boundaries on it as the steps below complete.
 	sp := r.takeRecoverySpan(failed)
 
-	if old != nil {
-		old.crash() // ensure threads are gone even if detection raced
-		// The dead incarnation's out-channels are volatile state that
-		// nothing reads again — replay is served from the replacement's
-		// in-flight log — so close them here; each one owns a spiller
-		// thread that otherwise outlives every recovery.
-		for _, oc := range old.allOut {
-			oc.close()
-		}
+	// The dead incarnation's out-channels are volatile state that nothing
+	// reads again — replay is served from the replacement's in-flight log
+	// — so close them here; each one owns a spiller thread that otherwise
+	// outlives every recovery.
+	for _, oc := range old.allOut {
+		oc.close()
 	}
 	// Fault-injection windows: each crashPoint below may kill the
 	// replacement between two named protocol phases. The protocol keeps
 	// executing — the job manager does not die with a standby — and the
-	// detector re-detects the dead replacement by its stale heartbeat,
+	// liveness sweep declares the dead replacement once it is installed,
 	// driving a fresh recovery. The steps are harmless on a crashed task.
 	t.crashPoint(faultinject.PointRecoveryPreActivate)
 	if snap != nil {
@@ -155,6 +152,15 @@ func (r *Runtime) localRecover(failed types.TaskID) (escalate string) {
 		t.crashPoint(faultinject.PointRecoveryRebind)
 	}
 	t.crashPoint(faultinject.PointRecoveryDedupSampled)
+
+	// Recovery starts at the break, so the dead incarnation's main and
+	// flusher threads may still be mid-element, mid-snapshot, or in a
+	// send (parked on a credit, or inside the receiver's accept hooks,
+	// which ingest its determinants even though the fence rejects it).
+	// The fence released the parked ones; wait the threads out before
+	// reading what they may still write — survivors' replicas, a sink's
+	// output, the snapshot store — or writing there ourselves.
+	<-old.done
 
 	// Step 3: retrieve determinant logs from tasks within DSD hops.
 	guided := false
@@ -251,12 +257,18 @@ func (r *Runtime) localRecover(failed types.TaskID) (escalate string) {
 	}
 	// Downstream tasks that are themselves recovering issued (or will
 	// issue) replay requests that may have reached this task's crashed
-	// predecessor; re-serve them proactively.
+	// predecessor; re-serve them proactively — unless the predecessor
+	// delivered part of the replay: that connection continues at the
+	// dedup floor, and re-anchoring it at the epoch's first seq would
+	// ask for buffers the floor suppresses (and wedge the channel).
 	for _, oc := range t.allOut {
 		did := types.TaskID{Vertex: r.graph.Edges[oc.id.Edge].To.ID, Subtask: oc.id.To}
 		r.mu.Lock()
 		needs := r.recovering[did] || r.failedSet[did]
 		r.mu.Unlock()
+		if ep := r.net.Endpoint(oc.id); ep != nil && !ep.Broken() && ep.LastPushed() > 0 {
+			continue
+		}
 		if needs && r.cfg.Guarantee != AtMostOnce {
 			r.serveReplay(oc, t.epoch, 0)
 		}
@@ -307,6 +319,10 @@ func (r *Runtime) routeUpstream(chID types.ChannelID, fromEpoch types.EpochID) {
 // stale direct send racing the request can never mis-anchor the fresh
 // connection.
 func (r *Runtime) serveReplay(oc *outChannel, fromEpoch types.EpochID, afterSeq uint64) {
+	ep := r.net.Endpoint(oc.id)
+	if ep != nil {
+		ep.ExpectReplay()
+	}
 	start, err := oc.PrepareReplay(fromEpoch, afterSeq)
 	if err != nil {
 		// Unserviceable replay (e.g. the epoch was truncated): the only
@@ -315,7 +331,7 @@ func (r *Runtime) serveReplay(oc *outChannel, fromEpoch types.EpochID, afterSeq 
 		go r.globalRestart("unserviceable-replay")
 		return
 	}
-	if ep := r.net.Endpoint(oc.id); ep != nil {
+	if ep != nil {
 		ep.AcceptFrom(start)
 	}
 	// Wake a replay loop parked on a previously rejected push: the
@@ -432,11 +448,7 @@ func (r *Runtime) globalRestart(reason string) {
 	r.failedSet = make(map[types.TaskID]bool)
 	r.recovering = make(map[types.TaskID]bool)
 	r.pendingReplay = make(map[types.TaskID][]replayRequest)
-	stopped := r.stopped
 	r.mu.Unlock()
-	if stopped {
-		return
-	}
 
 	// Simulated scheduler/deployment delay of a full restart (see
 	// Config.RestartDelay).
@@ -446,6 +458,13 @@ func (r *Runtime) globalRestart(reason string) {
 
 	var fresh []*Task
 	r.mu.Lock()
+	if r.stopped {
+		// Stop found the topology torn down (possibly during the pause
+		// above) and will deploy nothing; neither may we, or the rebuilt
+		// tasks outlive the runtime.
+		r.mu.Unlock()
+		return
+	}
 	for _, v := range r.graph.Vertices {
 		for s := int32(0); s < int32(v.Parallelism); s++ {
 			t := newTask(r, v, s)
@@ -472,12 +491,17 @@ func (r *Runtime) globalRestart(reason string) {
 			}
 		}
 		t.start()
-		// A rebuilt task dying right after deployment: the detector must
+		// A rebuilt task dying right after deployment: no declaration can
+		// happen while restarting, so the liveness sweep after it must
 		// notice and drive another full restart.
 		t.crashPoint(faultinject.PointGlobalRebuilt)
 	}
+	// One step against declareCrashed: a rebuilt task that is already
+	// dead is declared (and checkpointing paused) after this resume.
+	r.pauseGate.Lock()
 	r.mu.Lock()
 	r.restarting = false
 	r.mu.Unlock()
 	r.coord.Resume()
+	r.pauseGate.Unlock()
 }

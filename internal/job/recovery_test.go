@@ -293,10 +293,20 @@ func TestStaggeredFailures(t *testing.T) {
 	const n = 6000
 	cfg := quickConfig(ModeClonos)
 	sums, r := runDeepFailure(t, cfg, n, 5, func(r *Runtime) {
-		if err := r.InjectFailure(types.TaskID{Vertex: 1, Subtask: 0}); err != nil {
+		first := types.TaskID{Vertex: 1, Subtask: 0}
+		if err := r.InjectFailure(first); err != nil {
 			t.Fatal(err)
 		}
-		time.Sleep(600 * time.Millisecond)
+		// Staggered: the second failure lands inside the first one's
+		// recovery — once its standby is activated, i.e. its determinants
+		// are retrieved. (At DSD 1 the second victim is their holder: were
+		// it to die between declaration and retrieval, that would be the
+		// connected-concurrent case, which may legitimately fall back.)
+		if !r.WaitForEvent(15*time.Second, func(ev Event) bool {
+			return ev.Kind == EventStandbyActivated && ev.Task == first
+		}) {
+			t.Fatal("first failure never recovered")
+		}
 		if err := r.InjectFailure(types.TaskID{Vertex: 2, Subtask: 1}); err != nil {
 			t.Fatal(err)
 		}
@@ -314,13 +324,9 @@ func TestConcurrentConnectedFailuresFullDSD(t *testing.T) {
 	cfg := quickConfig(ModeClonos)
 	cfg.DSD = 0 // full: determinants survive consecutive failures
 	sums, r := runDeepFailure(t, cfg, n, 5, func(r *Runtime) {
-		// Connected dataflow: s1[0] feeds s2[0] (hash shuffle).
-		if err := r.InjectFailure(types.TaskID{Vertex: 1, Subtask: 0}); err != nil {
-			t.Fatal(err)
-		}
-		if err := r.InjectFailure(types.TaskID{Vertex: 2, Subtask: 0}); err != nil {
-			t.Fatal(err)
-		}
+		// Connected dataflow: s1[0] feeds s2[0] (hash shuffle). Concurrent
+		// means both are down before either is declared.
+		r.crashAll([]types.TaskID{{Vertex: 1, Subtask: 0}, {Vertex: 2, Subtask: 0}}, "")
 	})
 	checkSums(t, sums, expectedDeepSums(n, 5), "concurrent failures")
 	for _, ev := range r.Events() {
@@ -335,12 +341,7 @@ func TestConcurrentConnectedFailuresShallowDSDFallsBack(t *testing.T) {
 	cfg := quickConfig(ModeClonos)
 	cfg.DSD = 1 // too shallow for two consecutive failures
 	sums, r := runDeepFailure(t, cfg, n, 5, func(r *Runtime) {
-		if err := r.InjectFailure(types.TaskID{Vertex: 1, Subtask: 0}); err != nil {
-			t.Fatal(err)
-		}
-		if err := r.InjectFailure(types.TaskID{Vertex: 2, Subtask: 0}); err != nil {
-			t.Fatal(err)
-		}
+		r.crashAll([]types.TaskID{{Vertex: 1, Subtask: 0}, {Vertex: 2, Subtask: 0}}, "")
 	})
 	// Consistency is preserved by falling back to a global rollback.
 	checkSums(t, sums, expectedDeepSums(n, 5), "shallow DSD fallback")
@@ -504,8 +505,8 @@ var _ = fmt.Sprintf // keep fmt for debug edits
 
 // TestFailureDuringRecovery kills a task, then kills its just-activated
 // standby while the standby is still in causally guided replay: the
-// detector must notice the second crash (a recovering task is not exempt
-// from detection) and recover again, preserving exactly-once.
+// liveness loop must declare the second crash (a recovering task is not
+// exempt from detection) and recover again, preserving exactly-once.
 func TestFailureDuringRecovery(t *testing.T) {
 	const n = 6000
 	cfg := quickConfig(ModeClonos)

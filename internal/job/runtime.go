@@ -74,8 +74,8 @@ type Event struct {
 }
 
 // Runtime is the job manager: it owns the execution graph's tasks, the
-// network, the checkpoint coordinator, the snapshot store, heartbeat
-// failure detection, standby tasks, and recovery.
+// network, the checkpoint coordinator, the snapshot store, failure
+// detection (the liveness loop), standby tasks, and recovery.
 type Runtime struct {
 	cfg   Config
 	graph *Graph
@@ -108,6 +108,12 @@ type Runtime struct {
 	restarting bool
 	stopped    bool
 
+	// pauseGate makes "no recovery pending: resume checkpointing" and "a
+	// task failed: pause it" each one step, so a resume decided before a
+	// failure was declared cannot land after that failure's pause. Taken
+	// before mu and the coordinator's lock, never while holding either.
+	pauseGate sync.Mutex
+
 	// restartGate serializes global restarts against local recoveries:
 	// localRecover runs under the read side, globalRestart under the
 	// write side, so a restart triggered asynchronously (e.g. by an
@@ -115,6 +121,7 @@ type Runtime struct {
 	// local recovery is installing and starting a replacement task.
 	restartGate sync.RWMutex
 
+	crashWake chan struct{} // Task.crash's wake-up to the liveness loop
 	recoverCh chan types.TaskID
 	allDone   chan struct{}
 	doneOnce  sync.Once
@@ -165,6 +172,7 @@ func NewRuntime(g *Graph, cfg Config) (*Runtime, error) {
 		nodeOf:        make(map[types.TaskID]int),
 		standbyNodeOf: make(map[types.TaskID]int),
 		recSpans:      make(map[types.TaskID]*obs.Span),
+		crashWake:     make(chan struct{}, 1),
 		recoverCh:     make(chan types.TaskID, 256),
 		allDone:       make(chan struct{}),
 		stop:          make(chan struct{}),
@@ -278,7 +286,7 @@ func (r *Runtime) Graph() *Graph { return r.graph }
 func (r *Runtime) Config() Config { return r.cfg }
 
 // Start deploys and launches every task (plus standbys in HA mode), the
-// checkpoint coordinator, the failure detector, and the recovery worker.
+// checkpoint coordinator, the liveness loop, and the recovery worker.
 func (r *Runtime) Start() error {
 	r.mu.Lock()
 	for _, v := range r.graph.Vertices {
@@ -315,12 +323,8 @@ func (r *Runtime) Start() error {
 	}
 	r.coord.Start()
 	r.wg.Add(2)
-	go r.detector()
+	go r.liveness()
 	go r.recoveryWorker()
-	if r.cfg.StallDeadline > 0 {
-		r.wg.Add(1)
-		go r.watchdog()
-	}
 	return nil
 }
 
@@ -332,6 +336,13 @@ func (r *Runtime) Stop() {
 		return
 	}
 	r.stopped = true
+	r.mu.Unlock()
+	// A recovery in progress runs to its end (later ones see stopped), so
+	// the replacement and standby it deploys are in the teardown below.
+	r.restartGate.Lock()
+	//lint:ignore SA2001 a barrier, not a critical section
+	r.restartGate.Unlock()
+	r.mu.Lock()
 	tasks := make([]*Task, 0, len(r.tasks))
 	for _, t := range r.tasks {
 		tasks = append(tasks, t)
@@ -365,18 +376,34 @@ func (r *Runtime) WaitFinished(timeout time.Duration) bool {
 	}
 }
 
-// InjectFailure crashes a running task abruptly; the heartbeat detector
-// notices after the configured timeout and drives recovery.
+// InjectFailure crashes a running task abruptly. The crash wakes the
+// liveness loop, which declares it on its own goroutine: the failure
+// instant is EventFailureInjected, not the return of this call.
 func (r *Runtime) InjectFailure(id types.TaskID) error {
 	r.mu.Lock()
-	t, ok := r.tasks[id]
+	_, ok := r.tasks[id]
 	r.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("job: unknown task %v", id)
 	}
-	r.recordEvent(EventFailureInjected, id, "")
-	t.crash()
+	r.crashAll([]types.TaskID{id}, "")
 	return nil
+}
+
+// crashAll crashes the given tasks at one instant as far as detection is
+// concerned: the liveness pass needs r.mu, so holding it until every
+// victim is down makes one pass declare them together.
+func (r *Runtime) crashAll(ids []types.TaskID, info string) {
+	for _, id := range ids {
+		r.recordEvent(EventFailureInjected, id, info)
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, id := range ids {
+		if t := r.tasks[id]; t != nil {
+			t.crash()
+		}
+	}
 }
 
 // LatestCompletedCheckpoint returns the newest completed checkpoint ID.
@@ -617,11 +644,13 @@ func (r *Runtime) onAlignmentComplete(cp types.CheckpointID, id types.TaskID) {
 // onTaskLive is called when a task finishes causally guided replay (or
 // starts fresh); once no recovery remains, checkpointing resumes.
 func (r *Runtime) onTaskLive(id types.TaskID) {
+	r.recordEvent(EventTaskLive, id, "")
+	r.pauseGate.Lock()
+	defer r.pauseGate.Unlock()
 	r.mu.Lock()
 	delete(r.recovering, id)
-	empty := len(r.recovering) == 0 && len(r.failedSet) == 0
+	empty := len(r.recovering) == 0 && len(r.failedSet) == 0 && !r.restarting
 	r.mu.Unlock()
-	r.recordEvent(EventTaskLive, id, "")
 	if empty {
 		r.coord.Resume()
 	}
@@ -651,68 +680,83 @@ func (r *Runtime) reportTaskError(id types.TaskID, err error) {
 	r.mu.Unlock()
 }
 
-// detector watches heartbeats and enqueues failed tasks for recovery.
-func (r *Runtime) detector() {
+// liveness is the one goroutine that declares failures (DESIGN.md
+// "Failure detection"). Task.crash — the only way a task dies — posts a
+// wake-up and the loop declares the death at once; the sweep of the same
+// predicate every HeartbeatTimeout/4 is the fallback for wake-ups that
+// could not be acted on (posted during a global restart, or by a
+// replacement that died before localRecover installed it). The loop also
+// runs the stall watchdog's scan, which only observes.
+func (r *Runtime) liveness() {
 	defer r.wg.Done()
-	period := r.cfg.HeartbeatTimeout / 4
-	if period < time.Millisecond {
-		period = time.Millisecond
+	sweep := time.NewTicker(max(r.cfg.HeartbeatTimeout/4, time.Millisecond))
+	defer sweep.Stop()
+	var stallScan <-chan time.Time // nil (never ready) with the watchdog off
+	if d := r.cfg.StallDeadline; d > 0 {
+		tick := time.NewTicker(max(d/4, 10*time.Millisecond))
+		defer tick.Stop()
+		stallScan = tick.C
 	}
-	tick := time.NewTicker(period)
-	defer tick.Stop()
+	ws := newWatchdogState(time.Now())
 	for {
 		select {
 		case <-r.stop:
 			return
-		case <-tick.C:
+		case now := <-stallScan:
+			r.metrics.stalledTasks.Set(int64(r.scanStalls(ws, now)))
+		case <-r.crashWake:
+			r.declareCrashed()
+		case <-sweep.C:
+			r.declareCrashed()
 		}
-		select {
-		case <-r.allDone:
-			// Every task reached end-of-stream: the job's output is
-			// complete, so late process deaths during wind-down need no
-			// recovery (and must not race teardown with one).
-			return
-		default:
-		}
-		now := time.Now().UnixNano()
-		r.mu.Lock()
-		if r.restarting {
-			r.mu.Unlock()
+	}
+}
+
+// declareCrashed declares every crashed task that is not yet awaiting
+// recovery failed and enqueues its recovery.
+func (r *Runtime) declareCrashed() {
+	select {
+	case <-r.allDone:
+		// Every task reached end-of-stream: the job's output is
+		// complete, so late process deaths during wind-down need no
+		// recovery (and must not race teardown with one).
+		return
+	default:
+	}
+	r.pauseGate.Lock()
+	r.mu.Lock()
+	if r.restarting || r.stopped {
+		r.mu.Unlock()
+		r.pauseGate.Unlock()
+		return
+	}
+	var newlyFailed []types.TaskID
+	for id, t := range r.tasks {
+		// Tasks already declared failed are skipped; tasks in guided
+		// replay and finished tasks are NOT — a finished process's log may
+		// be mid-replay to a recovering peer, so it is recovered like any
+		// other: the replacement re-executes to end-of-stream, re-serves
+		// its log, and receivers dedup the re-sent suffix.
+		if r.failedSet[id] || !t.crashed.Load() {
 			continue
 		}
-		var newlyFailed []types.TaskID
-		for id, t := range r.tasks {
-			// Tasks already declared failed (recovery queued) are
-			// skipped; tasks in guided replay are NOT — a standby that
-			// crashes mid-recovery must be detected and replaced too.
-			// Finished tasks are NOT exempt either: they keep
-			// heartbeating after end-of-stream, so a stale heartbeat
-			// there is a real post-finish crash. The dead process's
-			// in-flight log may be mid-replay to a recovering peer, so
-			// it is recovered like any running task — the replacement
-			// re-executes to end-of-stream and re-serves its log, and
-			// receivers dedup the re-sent suffix.
-			if r.failedSet[id] {
-				continue
-			}
-			age := time.Duration(now - t.heartbeatAt.Load())
-			if age > r.cfg.HeartbeatTimeout {
-				r.failedSet[id] = true
-				delete(r.recovering, id)
-				delete(r.finished, id)
-				newlyFailed = append(newlyFailed, id)
-			}
-		}
-		r.mu.Unlock()
-		for _, id := range newlyFailed {
-			r.recordEvent(EventFailureDetected, id, "")
-			r.startRecoverySpan(id)
-			r.coord.Pause()
-			select {
-			case r.recoverCh <- id:
-			case <-r.stop:
-				return
-			}
+		r.failedSet[id] = true
+		delete(r.recovering, id)
+		delete(r.finished, id)
+		newlyFailed = append(newlyFailed, id)
+	}
+	r.mu.Unlock()
+	for _, id := range newlyFailed {
+		r.recordEvent(EventFailureDetected, id, "")
+		r.startRecoverySpan(id)
+		r.coord.Pause()
+	}
+	r.pauseGate.Unlock()
+	for _, id := range newlyFailed {
+		select {
+		case r.recoverCh <- id:
+		case <-r.stop:
+			return
 		}
 	}
 }

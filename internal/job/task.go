@@ -3,6 +3,7 @@ package job
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -93,7 +94,10 @@ type Task struct {
 	abort   chan struct{}
 	crashed atomic.Bool
 	state   atomic.Int32
+	// done closes when the main and flusher threads have both exited:
+	// nothing of this incarnation produces output any more.
 	done    chan struct{}
+	threads atomic.Int32
 
 	// Main-thread execution state (no locking: main loop only). The
 	// line-annotated fields publish atomic shadows below for off-thread
@@ -170,9 +174,8 @@ type Task struct {
 	replayPosShadow   atomic.Int64
 	replayTotalShadow atomic.Int64
 
-	heartbeatAt atomic.Int64
-	lastErr     atomic.Value
-	flushStop   chan struct{}
+	lastErr   atomic.Value
+	flushStop chan struct{}
 	// fullSnapshotNext forces the next snapshot to be full (first one of
 	// an incarnation); later ones may be incremental (§6.4).
 	fullSnapshotNext bool
@@ -506,30 +509,16 @@ func (t *Task) start() {
 	}
 	t.registerGauges()
 	t.state.Store(int32(stateRunning))
-	t.heartbeatNow()
 	t.timerSvc.Start()
-	go t.heartbeater()
+	t.threads.Store(2)
 	go t.flusher()
 	go t.run()
 }
 
-// heartbeater refreshes the heartbeat while the task process is alive —
-// including while the main thread is legitimately blocked on
-// backpressure. A crash stops it, which is what the detector sees.
-func (t *Task) heartbeater() {
-	period := t.env.cfg.HeartbeatTimeout / 4
-	if period < time.Millisecond {
-		period = time.Millisecond
-	}
-	tick := time.NewTicker(period)
-	defer tick.Stop()
-	for {
-		select {
-		case <-t.abort:
-			return
-		case <-tick.C:
-			t.heartbeatNow()
-		}
+// threadExit is deferred by the main and flusher threads.
+func (t *Task) threadExit() {
+	if t.threads.Add(-1) == 0 {
+		close(t.done)
 	}
 }
 
@@ -590,6 +579,8 @@ func (t *Task) NotifyCheckpointComplete(cp types.CheckpointID) {
 // crash simulates a task failure: the main loop aborts without flushing,
 // pools close to unblock stuck threads, input endpoints break so senders
 // observe a dead connection. All volatile state is lost with the object.
+// Every death passes through here; the last step wakes the liveness
+// loop, which declares it on its own goroutine (callers may hold r.mu).
 func (t *Task) crash() {
 	if !t.crashed.CompareAndSwap(false, true) {
 		return
@@ -619,6 +610,10 @@ func (t *Task) crash() {
 	}
 	t.timerSvc.Stop()
 	close(t.flushStop)
+	select {
+	case t.env.crashWake <- struct{}{}:
+	default: // a wake-up is pending already; one pass declares every death
+	}
 }
 
 // shutdown stops a task cleanly (job teardown), reusing the crash path.
@@ -630,9 +625,12 @@ func (t *Task) shutdown() {
 	}
 }
 
-// fail reports an internal error and crashes the task; the failure
-// detector then drives recovery exactly as for an injected failure.
+// fail reports an internal error and crashes the task; the liveness loop
+// then drives recovery exactly as for an injected failure.
 func (t *Task) fail(err error) {
+	if t.crashed.Load() {
+		return // a dead task's threads unwind over closed pools: consequences of the crash, not errors
+	}
 	t.lastErr.Store(err)
 	t.env.reportTaskError(t.id, err)
 	t.crash()
@@ -652,13 +650,10 @@ func (t *Task) crashPoint(point string) bool {
 	return true
 }
 
-func (t *Task) heartbeatNow() {
-	t.heartbeatAt.Store(time.Now().UnixNano())
-}
-
 // flusher periodically flushes partial output buffers — the
 // nondeterministic buffer cuts captured by BUFFERSIZE determinants.
 func (t *Task) flusher() {
+	defer t.threadExit()
 	tick := time.NewTicker(t.env.cfg.FlushInterval)
 	defer tick.Stop()
 	for {
@@ -677,7 +672,7 @@ func (t *Task) flusher() {
 
 // run is the main thread.
 func (t *Task) run() {
-	defer close(t.done)
+	defer t.threadExit()
 	if err := t.chn.open(); err != nil {
 		t.fail(err)
 		return
@@ -742,16 +737,11 @@ func (t *Task) finishRecoverySpan() {
 	t.env.observeRecovery(rec)
 }
 
-// loopTick is the shared top-of-iteration step of both task loops: it
-// refreshes the watchdog heartbeat and arms the task/loop crash point.
-// Keeping it factored gives PointTaskLoop a single non-test reference
-// (the crashpoint analyzer enforces exactly one), so #occurrence
-// schedules count iterations uniformly across live and source loops.
-// Reports true when the injector consumed the point by crashing the task.
-//
-//clonos:mainthread
+// loopTick arms the task/loop crash point at the top of both task loops.
+// Factored out so PointTaskLoop has a single non-test reference (the
+// crashpoint analyzer enforces exactly one) and #occurrence schedules
+// count iterations uniformly. Reports true when the task was crashed.
 func (t *Task) loopTick() bool {
-	t.heartbeatNow()
 	return t.crashPoint(faultinject.PointTaskLoop)
 }
 
@@ -805,8 +795,11 @@ func (t *Task) runLive() {
 			}
 			continue
 		}
-		// Input queues drained: a recovering task is now caught up.
-		t.finishRecoverySpan()
+		// Input queues drained: a recovering task is now caught up, unless
+		// an upstream still owes it replayed input.
+		if t.recSpan.Load() != nil && !t.gate.Replaying() {
+			t.finishRecoverySpan()
+		}
 		select {
 		case ev := <-t.mailbox:
 			t.handleMail(ev)
@@ -826,7 +819,6 @@ func (t *Task) runLive() {
 //clonos:mainthread
 func (t *Task) runReplay() {
 	for t.replay.hasNext() && !t.crashed.Load() {
-		t.heartbeatNow()
 		t.replayPosShadow.Store(int64(t.replay.pos))
 		if t.crashPoint(faultinject.PointReplayStep) {
 			return
@@ -864,6 +856,10 @@ func (t *Task) runReplay() {
 			}
 			tm := timers.Timer{HandlerID: d.Handler, Key: d.Key, When: d.When}
 			t.timerSvc.TakeProc(tm)
+			// Re-log what is replayed, as every other kind does: this
+			// log must continue the predecessor's at the same indices,
+			// or a second failure in the epoch finds replicas shifted.
+			t.causal.AppendTimer(d.Handler, d.Key, d.When, d.Offset)
 			t.fireTimer(tm)
 		case causal.KindRPC:
 			if t.vertex.Source == nil {
@@ -894,6 +890,17 @@ func (t *Task) runReplay() {
 			}
 		default:
 			t.fail(fmt.Errorf("task %v: unexpected determinant %v at replay head", t.id, d))
+			return
+		}
+	}
+	// A source's records need no determinants, so what its predecessor
+	// delivered runs past the last logged event. Until every recorded cut
+	// is reproduced, stay in re-execution: a checkpoint trigger or timer
+	// served now would land in output the receivers already hold without
+	// it (and dedup would withhold it from them for good).
+	cutsPending := func(oc *outChannel) bool { return oc.writer.InRecovery() }
+	for t.vertex.Source != nil && slices.ContainsFunc(t.allOut, cutsPending) && !t.crashed.Load() {
+		if !t.emitNextSourceElement(true) {
 			return
 		}
 	}
@@ -1057,9 +1064,9 @@ func (t *Task) maybeEmitLatencyMarker() {
 		ms = d.Value
 	} else {
 		ms = time.Now().UnixMilli()
-		if t.causal != nil {
-			t.causal.AppendTimestamp(ms)
-		}
+	}
+	if t.causal != nil {
+		t.causal.AppendTimestamp(ms) // replayed stamps are re-logged too
 	}
 	t.broadcastElement(types.LatencyMarker(ms))
 }
@@ -1713,9 +1720,7 @@ func (t *Task) finishTask() {
 func (t *Task) broadcastElement(e types.Element) {
 	for _, oc := range t.allOut {
 		if err := oc.writer.WriteElement(e); err != nil {
-			if !t.crashed.Load() {
-				t.fail(err)
-			}
+			t.fail(err)
 			return
 		}
 	}
@@ -1745,9 +1750,7 @@ func (t *Task) emitOutput(key uint64, ts int64, v any) {
 		}
 		for _, oc := range targets {
 			if err := oc.writer.WriteElement(types.Record(outKey, ts, v)); err != nil {
-				if !t.crashed.Load() {
-					t.fail(err)
-				}
+				t.fail(err)
 				return
 			}
 		}

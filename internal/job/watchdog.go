@@ -15,8 +15,9 @@ import (
 // deadline (Config.StallDeadline), and watches checkpoint completion
 // globally. Each stall fires one tracer event when first detected
 // (re-armed by progress) and is counted in the clonos_stalled_tasks
-// gauge while it persists. The watchdog only observes and reports; the
-// heartbeat detector remains the sole authority that declares failures.
+// gauge while it persists. The scan runs on the liveness loop's goroutine
+// (Runtime.liveness) but only observes and reports: a task is declared
+// failed when it crashes, never because it is slow, blocked or quiet.
 
 // stallState is the watchdog's last observation of one task.
 type stallState struct {
@@ -41,29 +42,9 @@ func newWatchdogState(now time.Time) *watchdogState {
 	return &watchdogState{tasks: make(map[types.TaskID]*stallState), lastCpAt: now}
 }
 
-// watchdog runs the periodic scan until shutdown.
-func (r *Runtime) watchdog() {
-	defer r.wg.Done()
-	period := r.cfg.StallDeadline / 4
-	if period < 10*time.Millisecond {
-		period = 10 * time.Millisecond
-	}
-	tick := time.NewTicker(period)
-	defer tick.Stop()
-	ws := newWatchdogState(time.Now())
-	for {
-		select {
-		case <-r.stop:
-			return
-		case now := <-tick.C:
-			r.metrics.stalledTasks.Set(int64(r.scanStalls(ws, now)))
-		}
-	}
-}
-
 // scanStalls performs one watchdog pass at time now and returns how many
 // tasks are currently stalled (stuck input progress or stuck alignment).
-// Split out from the goroutine loop so tests can drive it directly.
+// Split out from the liveness loop so tests can drive it directly.
 func (r *Runtime) scanStalls(ws *watchdogState, now time.Time) int {
 	deadline := r.cfg.StallDeadline
 	r.mu.Lock()

@@ -56,6 +56,10 @@ type Endpoint struct {
 	// expectFirst, when non-zero, is the only seq accepted as the first
 	// message after AcceptFrom.
 	expectFirst uint64
+	// replaying is set while the sender owes this endpoint the rest of an
+	// in-flight replay: from the requester's ExpectReplay until the
+	// sender's ReplayDone. See Replaying.
+	replaying bool
 	// gen, when non-zero, binds the endpoint to one sender incarnation:
 	// only messages stamped with this generation are accepted. Rebind
 	// sets it when a recovering sender takes over the channel, fencing
@@ -95,6 +99,17 @@ func NewEndpoint(id types.ChannelID, credit int, notify chan<- struct{}, accepti
 	return ep
 }
 
+// signal posts a wake-up on a gate's notify channel without blocking (one
+// buffered token coalesces bursts); a nil channel is nobody to wake.
+func signal(notify chan<- struct{}) {
+	if notify != nil {
+		select {
+		case notify <- struct{}{}:
+		default:
+		}
+	}
+}
+
 // AcceptFrom opens the endpoint to senders. firstSeq, when non-zero, is
 // the only seq accepted as the first message (the replayed epoch's first
 // buffer); zero anchors on whatever arrives first.
@@ -106,6 +121,38 @@ func (ep *Endpoint) AcceptFrom(firstSeq uint64) {
 	ep.expectFirst = firstSeq
 	ep.dropQueueLocked()
 	ep.sendCond.Broadcast()
+}
+
+// ExpectReplay marks that a replay is being requested of the sender. The
+// requester calls it before arming the sender, so that a replay with
+// nothing to send cannot report done before it is expected.
+func (ep *Endpoint) ExpectReplay() {
+	ep.mu.Lock()
+	ep.replaying = true
+	ep.mu.Unlock()
+}
+
+// ReplayDone is the sender's word that the replay asked of it is complete
+// — everything it had logged has been pushed and the channel is back to
+// direct sending. It wakes the receiver, which may be parked on an empty
+// queue waiting to learn exactly this.
+func (ep *Endpoint) ReplayDone() {
+	ep.mu.Lock()
+	ep.replaying = false
+	notify := ep.notify
+	ep.mu.Unlock()
+	signal(notify)
+}
+
+// Replaying reports whether the endpoint still has replayed input to
+// come: it has not been opened yet (the replay request is still on its
+// way to a sender that may itself be recovering), or the replay it was
+// opened for is not complete. A recovering task has caught up only once
+// none of its endpoints is replaying and all of them are drained.
+func (ep *Endpoint) Replaying() bool {
+	ep.mu.Lock()
+	defer ep.mu.Unlock()
+	return !ep.accepting || ep.replaying
 }
 
 // dropQueueLocked discards queued messages, releasing their payload
@@ -211,12 +258,7 @@ func (ep *Endpoint) Push(m *Message) error {
 	}
 	notify := ep.notify
 	ep.mu.Unlock()
-	if notify != nil {
-		select {
-		case notify <- struct{}{}:
-		default:
-		}
-	}
+	signal(notify)
 	return nil
 }
 
@@ -255,12 +297,7 @@ func (ep *Endpoint) Preload(msgs []*Message) {
 	ep.preload = append(ep.preload, msgs...)
 	notify := ep.notify
 	ep.mu.Unlock()
-	if notify != nil {
-		select {
-		case notify <- struct{}{}:
-		default:
-		}
-	}
+	signal(notify)
 }
 
 // Pop removes and returns the oldest queued message, or nil if empty.
@@ -312,6 +349,10 @@ func (ep *Endpoint) Rebind(gen uint64) uint64 {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
 	ep.gen = gen
+	// Whatever replay the predecessor still owed died with it; what the
+	// new incarnation regenerates past lastPushed arrives as ordinary
+	// traffic (or under a replay request of its own).
+	ep.replaying = false
 	ep.sendCond.Broadcast()
 	return ep.lastPushed
 }

@@ -65,10 +65,7 @@ func (g *Gate) Block(idx int) {
 func (g *Gate) Unblock(idx int) {
 	g.blocked[idx].Store(false)
 	g.eps[idx].SetUnbounded(false)
-	select {
-	case g.notify <- struct{}{}:
-	default:
-	}
+	signal(g.notify)
 }
 
 // UnblockAll releases every channel.
@@ -77,10 +74,7 @@ func (g *Gate) UnblockAll() {
 		g.blocked[i].Store(false)
 		g.eps[i].SetUnbounded(false)
 	}
-	select {
-	case g.notify <- struct{}{}:
-	default:
-	}
+	signal(g.notify)
 }
 
 // Next returns the next buffer from any unblocked, non-empty channel along
@@ -144,6 +138,17 @@ func (g *Gate) NextFrom(idx int, abort <-chan struct{}) (*Message, error) {
 			return nil, ErrGateClosed
 		}
 	}
+}
+
+// Replaying reports whether any input channel still has replayed input
+// to come (see Endpoint.Replaying).
+func (g *Gate) Replaying() bool {
+	for _, ep := range g.eps {
+		if ep.Replaying() {
+			return true
+		}
+	}
+	return false
 }
 
 // QueuedBuffers reports the total number of buffers queued across all

@@ -231,8 +231,8 @@ func (s *Service) Start() {
 	}
 	s.stop = make(chan struct{})
 	stop := s.stop
+	s.done.Add(1) // under mu: a concurrent Stop must find the thread counted before it waits
 	s.mu.Unlock()
-	s.done.Add(1)
 	go s.run(stop)
 }
 
