@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: build check fmt-check vet lint lint-json race bench bench-compare bench-micro bench-smoke bench-json bench-matrix matrix-smoke fault-sweep fault-sweep-unaligned
+.PHONY: build check fmt-check no-gob vet lint lint-json race bench bench-compare bench-micro bench-smoke bench-json bench-matrix matrix-smoke fault-sweep fault-sweep-unaligned
 
 build:
 	$(GO) build ./...
@@ -17,9 +17,17 @@ build:
 # is vetted and tested here too: an API change that would stop the
 # repository's benchmark from building fails the gate, not the next PR's
 # measurement.
-check: build fmt-check
+check: build fmt-check no-gob
 	$(GO) test ./...
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# no-gob keeps encoding/gob out of everything the engine and the benchmark
+# link: the codec registry is the only serialization tier (DESIGN.md
+# "Codec tier"). Test files may import it as an oracle; `go list -deps`
+# does not follow them.
+no-gob:
+	! $(GO) list -deps ./... | grep -qx encoding/gob
+	cd bench && ! $(GO) list -deps ./... | grep -qx encoding/gob
 
 # fmt-check lists every Go file of the root module and bench/ that gofmt
 # would change, and fails if there is one. The analyzers' testdata/ trees
@@ -34,8 +42,8 @@ vet:
 # lint runs the repo's own go/analysis suite (clonos-vet; see DESIGN.md
 # "Static invariants"): interprocedural buffer ownership, main-thread
 # confinement, snapshot completeness, determinism taint, crash-point
-# bookkeeping, no-sleep-poll test hygiene, and the gob-codec guard.
-# Test files are analyzed too.
+# bookkeeping and no-sleep-poll test hygiene. Test files are analyzed
+# too.
 lint:
 	$(GO) run ./cmd/clonos-vet ./...
 

@@ -34,7 +34,6 @@ import (
 	"clonos/internal/metrics"
 	"clonos/internal/operator"
 	"clonos/internal/services"
-	"clonos/internal/statestore"
 	"clonos/internal/types"
 )
 
@@ -66,8 +65,11 @@ type (
 	WindowSpec = operator.WindowSpec
 	// AggregateFn is an incremental window aggregate.
 	AggregateFn = operator.AggregateFn
-	// Codec serializes record payloads on an edge or in snapshots.
+	// Codec serializes record payloads on one edge (Stream.EdgeCodec).
 	Codec = codec.Codec
+	// SizedCodec is a Codec that also reports its encoded size — what
+	// RegisterCodec takes, so that snapshots are allocated once.
+	SizedCodec = codec.SizedCodec
 	// Int64Codec is the zig-zag varint codec for int64 payloads.
 	Int64Codec = codec.Int64Codec
 	// Float64Codec is the fixed 8-byte codec for float64 payloads.
@@ -127,18 +129,16 @@ func TopicRecord(key uint64, ts int64, v any) kafkasim.Record {
 	return kafkasim.Record{Key: key, Ts: ts, Value: v}
 }
 
-// RegisterStateType registers a concrete type used as operator state or
-// as a record value crossing an auto-codec edge, for the reflective gob
-// fallback. Pair with RegisterCodec to keep such values off the
-// reflection path entirely.
-func RegisterStateType(v any) { statestore.Register(v) }
-
 // RegisterCodec binds a hand-written codec to sample's concrete type.
-// Values of that type then encode reflection-free everywhere the engine
-// serializes them: auto-selected edges, state snapshots and deltas, and
-// audit fingerprints. Registration is process-wide and must happen
-// before any job starts (init functions are the natural place).
-func RegisterCodec(sample any, c Codec) { codec.RegisterType(sample, c) }
+// Every type kept in operator state or crossing an edge without a pinned
+// codec needs one — the scalars, []byte, []any, []int64 and the map
+// shapes in internal/codec are built in — because the registry is the
+// only way the engine turns a value into bytes: auto-selected edges,
+// state snapshots and deltas, and audit fingerprints. A value of an
+// unregistered type fails its task with an error naming the type.
+// Registration is process-wide and must happen before any job starts
+// (init functions are the natural place).
+func RegisterCodec(sample any, c SizedCodec) { codec.RegisterType(sample, c) }
 
 // Count returns the record-count window aggregate.
 func Count() AggregateFn { return operator.Count() }

@@ -1,6 +1,6 @@
 // Command clonos-vet is the repo's multichecker: it runs the
 // internal/lint analyzers (bufown, mainthread, snapcov, detflow,
-// crashpoint, nosleepwait, gobcodec) over the requested packages and
+// crashpoint, nosleepwait) over the requested packages and
 // exits nonzero on any diagnostic.
 //
 // Usage:
@@ -27,7 +27,6 @@ import (
 	"clonos/internal/lint/crashpoint"
 	"clonos/internal/lint/detflow"
 	"clonos/internal/lint/findings"
-	"clonos/internal/lint/gobcodec"
 	"clonos/internal/lint/load"
 	"clonos/internal/lint/mainthread"
 	"clonos/internal/lint/nosleepwait"
@@ -41,7 +40,6 @@ var suite = []*analysis.Analyzer{
 	detflow.Analyzer,
 	crashpoint.Analyzer,
 	nosleepwait.Analyzer,
-	gobcodec.Analyzer,
 }
 
 func main() {

@@ -34,10 +34,56 @@ type Alert struct {
 	Audited   bool   // random sampling through the RNG service
 }
 
-func main() {
-	clonos.RegisterStateType(Transaction{})
-	clonos.RegisterStateType(Alert{})
+// Every type that crosses an edge or sits in operator state needs a
+// registered codec (scalars, []byte and a few composites are built in):
+// the registry is the only way the engine turns a value into bytes. A
+// codec is three methods; fixed-width fields make EncodedSize a constant.
+// The registry only ever hands a codec values of the type it was
+// registered for.
+var be = binary.BigEndian
 
+type txnCodec struct{}
+
+func (txnCodec) EncodedSize(any) int { return 24 }
+func (txnCodec) EncodeAppend(dst []byte, v any) ([]byte, error) {
+	t := v.(Transaction)
+	dst = be.AppendUint64(dst, t.ID)
+	dst = be.AppendUint64(dst, t.Card)
+	return be.AppendUint64(dst, uint64(t.Amount)), nil
+}
+func (txnCodec) Decode(b []byte) (any, error) {
+	if len(b) != 24 {
+		return nil, fmt.Errorf("txnCodec: %d bytes, want 24", len(b))
+	}
+	return Transaction{ID: be.Uint64(b), Card: be.Uint64(b[8:]), Amount: int64(be.Uint64(b[16:]))}, nil
+}
+
+type alertCodec struct{}
+
+func (alertCodec) EncodedSize(any) int { return 25 }
+func (alertCodec) EncodeAppend(dst []byte, v any) ([]byte, error) {
+	a := v.(Alert)
+	dst = be.AppendUint64(dst, a.Txn)
+	dst = be.AppendUint64(dst, a.RiskScore)
+	dst = be.AppendUint64(dst, uint64(a.ScoredAt))
+	if a.Audited {
+		return append(dst, 1), nil
+	}
+	return append(dst, 0), nil
+}
+func (alertCodec) Decode(b []byte) (any, error) {
+	if len(b) != 25 {
+		return nil, fmt.Errorf("alertCodec: %d bytes, want 25", len(b))
+	}
+	return Alert{Txn: be.Uint64(b), RiskScore: be.Uint64(b[8:]), ScoredAt: int64(be.Uint64(b[16:])), Audited: b[24] == 1}, nil
+}
+
+func init() {
+	clonos.RegisterCodec(Transaction{}, txnCodec{})
+	clonos.RegisterCodec(Alert{}, alertCodec{})
+}
+
+func main() {
 	world := clonos.NewExternalWorld()
 	topic := clonos.NewTopic("txns", 1)
 	sink := clonos.NewSinkTopic(true)
@@ -52,7 +98,7 @@ func main() {
 			if err != nil {
 				return nil, false, err
 			}
-			score := binary.BigEndian.Uint64(resp[len(resp)-8:])
+			score := be.Uint64(resp[len(resp)-8:])
 			now, err := ctx.Services().CurrentTimeMillis()
 			if err != nil {
 				return nil, false, err

@@ -16,13 +16,12 @@ import (
 //
 // The keyed state is walked in sorted (name, key) order (Store.Walk, the
 // order and the key scratch Snapshot itself uses) and each value is
-// hashed as its typed-codec frame (codec.EncodeAnyFramed) into a reused
-// scratch buffer — registered types pay the hand-written encoder
-// instead of a reflection walk, and a nil value encodes as its own tag,
-// so no sentinel is needed. Typed encoders emit map contents in sorted
-// key order, so the bytes are deterministic; a correct restore
-// reproduces the identical walk, and snapshot-time and restore-time
-// fingerprints match bit-for-bit.
+// hashed as its registry frame (codec.EncodeAnyFramed) into a reused
+// scratch buffer; a nil value encodes as its own tag, so no sentinel is
+// needed. The registered codecs emit map contents in sorted key order,
+// so the bytes are deterministic; a correct restore reproduces the
+// identical walk, and snapshot-time and restore-time fingerprints match
+// bit-for-bit.
 //
 // The zero return value is reserved for "no fingerprint recorded"
 // (TaskSnapshot.Fingerprint of audit-off snapshots); a digest that lands

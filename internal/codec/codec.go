@@ -8,7 +8,6 @@ package codec
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -27,15 +26,23 @@ type Codec interface {
 	Decode(b []byte) (any, error)
 }
 
-// Sizer is an optional capability of a Codec, in the style of
-// io.WriterTo: EncodedSize reports len(EncodeAppend(nil, v)) without
-// encoding anything, so a caller can allocate its output once at the
-// exact size and write a length prefix at its final width up front. A
-// negative result means "unknown" — v is not the codec's type, or nests
-// a value whose own codec is not a Sizer — and the caller falls back to
-// encode-then-measure.
+// Sizer reports len(EncodeAppend(nil, v)) without encoding anything, in
+// the style of io.WriterTo, so a caller can allocate its output once at
+// the exact size and write a length prefix at its final width up front. A
+// negative result means v cannot be encoded — it is not the codec's type,
+// or nests a value of a type nobody registered — and EncodeAppend of the
+// same value returns the error that says which.
 type Sizer interface {
 	EncodedSize(v any) int
+}
+
+// SizedCodec is what the registry takes (RegisterType): every value that
+// is framed — in a snapshot, a fingerprint, or nested inside a composite
+// — is sized first. A codec pinned to one edge (Stream.EdgeCodec) writes
+// unframed bytes and can stay a plain Codec.
+type SizedCodec interface {
+	Codec
+	Sizer
 }
 
 // UvarintLen reports how many bytes binary.AppendUvarint writes for x.
@@ -53,29 +60,6 @@ var ErrShortBuffer = errors.New("codec: short buffer")
 // exactly one value's bytes), which must surface instead of being
 // silently accepted.
 var ErrTrailingBytes = errors.New("codec: trailing bytes after value")
-
-// JSONCodec is a generic fallback codec. Decoded values come back as the
-// usual encoding/json shapes (map[string]any, float64, ...), so typed
-// pipelines should prefer a hand-written codec.
-type JSONCodec struct{}
-
-// EncodeAppend implements Codec.
-func (JSONCodec) EncodeAppend(dst []byte, v any) ([]byte, error) {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return dst, err
-	}
-	return append(dst, b...), nil
-}
-
-// Decode implements Codec.
-func (JSONCodec) Decode(b []byte) (any, error) {
-	var v any
-	if err := json.Unmarshal(b, &v); err != nil {
-		return nil, err
-	}
-	return v, nil
-}
 
 // Int64Codec encodes int64 values as zig-zag varints.
 type Int64Codec struct{}

@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"encoding/json"
 	"math"
 	"testing"
 	"testing/quick"
@@ -57,8 +58,20 @@ func TestRecordRoundTripBytes(t *testing.T) {
 	}
 }
 
+// jsonCodec is a user codec written against Codec alone: no EncodedSize.
+// That is all an edge asks of a codec pinned to it (edges are unframed);
+// only RegisterType needs a SizedCodec.
+type jsonCodec struct{}
+
+func (jsonCodec) EncodeAppend(dst []byte, v any) ([]byte, error) {
+	b, err := json.Marshal(v)
+	return append(dst, b...), err
+}
+
+func (jsonCodec) Decode(b []byte) (v any, err error) { return v, json.Unmarshal(b, &v) }
+
 func TestRecordRoundTripJSON(t *testing.T) {
-	got := roundTrip(t, types.Record(3, 9, map[string]any{"a": "b"}), JSONCodec{})
+	got := roundTrip(t, types.Record(3, 9, map[string]any{"a": "b"}), jsonCodec{})
 	m := got.Value.(map[string]any)
 	if m["a"] != "b" {
 		t.Fatalf("round trip mismatch: %v", m)

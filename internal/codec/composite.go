@@ -3,9 +3,9 @@ package codec
 // Hand-written codecs for the remaining scalar shapes and for the
 // generic composites — []any list-state values and the map shapes the
 // operators keep in state. Composites embed their elements through the
-// tagged-union frame (EncodeAnyFramed), so any registered type nests,
-// and unregistered element types degrade to the gob fallback per
-// element rather than per container.
+// tagged-union frame (EncodeAnyFramed), so any registered type nests;
+// an element of an unregistered type fails the whole encode with an
+// error naming it.
 //
 // Map codecs iterate keys in sorted order: their bytes feed the audit
 // plane's state fingerprint, which must be identical at snapshot time

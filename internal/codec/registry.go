@@ -1,11 +1,11 @@
 package codec
 
-// The typed codec tier: a concrete-type → codec registry with a one-byte
-// type tag per registered type, so values of mixed concrete types can be
+// The codec registry: a concrete-type → codec map with a one-byte type
+// tag per registered type, so values of mixed concrete types can be
 // encoded reflection-free on edges (Auto), inside snapshots
 // (EncodeAnyFramed), and recursively inside composite values ([]any,
-// map[...]any). encoding/gob remains only as the final fallback for
-// unregistered types, under its own tag.
+// map[...]any). It is the only way a value becomes bytes: a value of a
+// type nobody registered is an encode error that names the type.
 //
 // Tags are process-local: built-in shapes hold fixed tags, custom types
 // are numbered in registration (init) order. Every artifact carrying
@@ -21,13 +21,14 @@ import (
 	"sync/atomic"
 )
 
-// TypeTag identifies a concrete value type in the typed tier's
+// TypeTag identifies a concrete value type in the registry's
 // tagged-union encoding.
 type TypeTag uint8
 
-// Built-in tags. TagNil marks a nil interface value (which gob cannot
-// encode at all); TagGob frames a reflective encoding/gob fallback for
-// types never registered with RegisterType.
+// Built-in tags. TagNil marks a nil interface value. TagGob is reserved:
+// it framed a reflective encoding/gob fallback for unregistered types
+// until the registry became the only tier, and stays unassigned — never
+// written, an error to decode — so every other tag keeps its number.
 const (
 	TagNil TypeTag = iota
 	TagGob
@@ -53,13 +54,13 @@ const (
 // locking.
 type regState struct {
 	byType map[reflect.Type]regEntry
-	byTag  [256]Codec
+	byTag  [256]SizedCodec
 	next   TypeTag
 }
 
 type regEntry struct {
 	tag TypeTag
-	c   Codec
+	c   SizedCodec
 }
 
 var (
@@ -69,7 +70,7 @@ var (
 
 func init() {
 	st := &regState{byType: make(map[reflect.Type]regEntry), next: firstCustomTag}
-	builtin := func(tag TypeTag, sample any, c Codec) {
+	builtin := func(tag TypeTag, sample any, c SizedCodec) {
 		st.byType[reflect.TypeOf(sample)] = regEntry{tag: tag, c: c}
 		st.byTag[tag] = c
 	}
@@ -85,19 +86,18 @@ func init() {
 	builtin(TagMapInt64Any, map[int64]any(nil), MapInt64AnyCodec{})
 	builtin(TagMapUint64Int64, map[uint64]int64(nil), MapUint64Int64Codec{})
 	builtin(TagMapStringAny, map[string]any(nil), MapStringAnyCodec{})
-	st.byTag[TagGob] = GobCodec{}
 	registry.Store(st)
 }
 
 // RegisterType binds a hand-written codec to sample's concrete type and
-// assigns it a tag in the typed tier. Values of that type then encode
-// through c everywhere the tier runs: Auto edges, snapshot frames,
-// fingerprints, and nested inside composite values. Call it from init();
+// assigns it a tag. Values of that type then encode through c everywhere
+// the engine serializes them: Auto edges, snapshot frames, fingerprints,
+// and nested inside composite values. Call it from init();
 // registering the same type twice with a different codec panics, while
 // an identical re-registration is a no-op. Codecs whose type holds maps
 // or other unordered containers must encode deterministically (sorted
 // iteration) — snapshot fingerprints hash these bytes.
-func RegisterType(sample any, c Codec) {
+func RegisterType(sample any, c SizedCodec) {
 	t := reflect.TypeOf(sample)
 	if t == nil {
 		panic("codec: RegisterType with nil sample")
@@ -124,57 +124,52 @@ func RegisterType(sample any, c Codec) {
 	registry.Store(st)
 }
 
-// TypedFor returns the registered codec for v's concrete type (built-in
-// or custom), and whether one exists. It never returns the gob fallback.
-func TypedFor(v any) (Codec, bool) {
-	if v == nil {
-		return nil, false
-	}
-	e, ok := registry.Load().byType[reflect.TypeOf(v)]
-	return e.c, ok
-}
-
-// resolve maps a value to its tag and codec, taking the gob fallback for
-// unregistered types. The type switch keeps the common scalar shapes off
-// the reflect path entirely.
-func resolve(v any) (TypeTag, Codec) {
+// resolve maps a value to its tag and codec; a type nobody registered is
+// an error. The type switch keeps the common scalar shapes off the
+// reflect path entirely.
+func resolve(v any) (TypeTag, SizedCodec, error) {
 	switch v.(type) {
 	case nil:
-		return TagNil, nil
+		return TagNil, nil, nil
 	case int64:
-		return TagInt64, Int64Codec{}
+		return TagInt64, Int64Codec{}, nil
 	case float64:
-		return TagFloat64, Float64Codec{}
+		return TagFloat64, Float64Codec{}, nil
 	case string:
-		return TagString, StringCodec{}
+		return TagString, StringCodec{}, nil
 	case []byte:
-		return TagBytes, BytesCodec{}
+		return TagBytes, BytesCodec{}, nil
 	case bool:
-		return TagBool, BoolCodec{}
+		return TagBool, BoolCodec{}, nil
 	case int:
-		return TagInt, IntCodec{}
+		return TagInt, IntCodec{}, nil
 	case uint64:
-		return TagUint64, Uint64Codec{}
+		return TagUint64, Uint64Codec{}, nil
 	case []any:
-		return TagAnySlice, AnySliceCodec{}
+		return TagAnySlice, AnySliceCodec{}, nil
 	}
 	if e, ok := registry.Load().byType[reflect.TypeOf(v)]; ok {
-		return e.tag, e.c
+		return e.tag, e.c, nil
 	}
-	return TagGob, GobCodec{}
+	return 0, nil, fmt.Errorf("codec: no codec registered for %T; call clonos.RegisterCodec", v)
 }
 
 // codecForTag returns the codec decoding the given tag.
-func codecForTag(tag TypeTag) (Codec, bool) {
-	c := registry.Load().byTag[tag]
-	return c, c != nil
+func codecForTag(tag TypeTag) (Codec, error) {
+	if c := registry.Load().byTag[tag]; c != nil {
+		return c, nil
+	}
+	return nil, fmt.Errorf("codec: unknown type tag %d", tag)
 }
 
 // EncodeAny appends the tagged (but unframed) encoding of v: one tag
 // byte followed by the payload, which must extend to the end of the
 // buffer handed to DecodeAny. It is the edge-level form used by Auto.
 func EncodeAny(dst []byte, v any) ([]byte, error) {
-	tag, c := resolve(v)
+	tag, c, err := resolve(v)
+	if err != nil {
+		return dst, err
+	}
 	dst = append(dst, byte(tag))
 	if tag == TagNil {
 		return dst, nil
@@ -194,74 +189,52 @@ func DecodeAny(b []byte) (any, error) {
 		}
 		return nil, nil
 	}
-	c, ok := codecForTag(tag)
-	if !ok {
-		return nil, fmt.Errorf("codec: unknown type tag %d", tag)
+	c, err := codecForTag(tag)
+	if err != nil {
+		return nil, err
 	}
 	return c.Decode(b[1:])
 }
 
 // EncodeAnyFramed appends `tag | uvarint(len(payload)) | payload` — the
-// self-delimiting form composites and snapshot frames embed. A codec
-// that is a Sizer has its length written at final width up front and its
-// payload appended behind it, so no encoded byte ever moves. For the
-// rest — user codecs without EncodedSize, and the gob fallback — the
-// length slot is reserved at one byte and a payload of 128 bytes or more
-// is shifted right once when its varint width is known.
+// self-delimiting form composites and snapshot frames embed. The length
+// is written at final width up front and the payload appended behind it,
+// so no encoded byte ever moves.
 func EncodeAnyFramed(dst []byte, v any) ([]byte, error) {
-	tag, c := resolve(v)
+	tag, c, err := resolve(v)
+	if err != nil {
+		return dst, err
+	}
 	if tag == TagNil {
 		return append(dst, byte(TagNil), 0), nil
 	}
+	// A negative size means c cannot encode v; EncodeAppend then says why
+	// (for a composite: which nested type has no codec).
+	n := c.EncodedSize(v)
 	start := len(dst)
-	dst = append(dst, byte(tag))
-	if n := encodedSize(c, v); n >= 0 {
-		dst = binary.AppendUvarint(dst, uint64(n))
-		body := len(dst)
-		out, err := c.EncodeAppend(dst, v)
-		if err != nil {
-			return dst[:start], err
-		}
-		if len(out)-body != n {
-			return dst[:start], fmt.Errorf("codec: %T.EncodedSize reported %d bytes, EncodeAppend wrote %d", c, n, len(out)-body)
-		}
-		return out, nil
-	}
-	lenPos := len(dst)
-	dst = append(dst, 0)
+	dst = binary.AppendUvarint(append(dst, byte(tag)), uint64(n))
+	body := len(dst)
 	out, err := c.EncodeAppend(dst, v)
 	if err != nil {
 		return dst[:start], err
 	}
-	n := len(out) - lenPos - 1
-	if n < 0x80 {
-		out[lenPos] = byte(n)
-		return out, nil
+	if len(out)-body != n {
+		return dst[:start], fmt.Errorf("codec: %T.EncodedSize reported %d bytes, EncodeAppend wrote %d", c, n, len(out)-body)
 	}
-	var lb [binary.MaxVarintLen64]byte
-	w := binary.PutUvarint(lb[:], uint64(n))
-	out = append(out, lb[:w-1]...)
-	copy(out[lenPos+w:], out[lenPos+1:lenPos+1+n])
-	copy(out[lenPos:lenPos+w], lb[:w])
 	return out, nil
 }
 
-// encodedSize is c's EncodedSize of v, or -1 when c is not a Sizer.
-func encodedSize(c Codec, v any) int {
-	if s, ok := c.(Sizer); ok {
-		return s.EncodedSize(v)
-	}
-	return -1
-}
-
-// FramedSize reports how many bytes EncodeAnyFramed appends for v, or -1
-// when v's codec cannot size it.
+// FramedSize reports how many bytes EncodeAnyFramed appends for v;
+// negative when EncodeAnyFramed would return an error instead.
 func FramedSize(v any) int {
-	tag, c := resolve(v)
+	tag, c, err := resolve(v)
+	if err != nil {
+		return -1
+	}
 	if tag == TagNil {
 		return 2
 	}
-	n := encodedSize(c, v)
+	n := c.EncodedSize(v)
 	if n < 0 {
 		return -1
 	}
@@ -286,9 +259,9 @@ func DecodeAnyFramed(b []byte) (v any, consumed int, err error) {
 		}
 		return nil, consumed, nil
 	}
-	c, ok := codecForTag(tag)
-	if !ok {
-		return nil, 0, fmt.Errorf("codec: unknown type tag %d", tag)
+	c, err := codecForTag(tag)
+	if err != nil {
+		return nil, 0, err
 	}
 	v, err = c.Decode(b[1+sz : consumed])
 	if err != nil {
@@ -298,9 +271,9 @@ func DecodeAnyFramed(b []byte) (v any, consumed int, err error) {
 }
 
 // Auto is the default edge codec: it encodes each value through the
-// typed tier (one tag byte + the registered codec's payload) and falls
-// back to encoding/gob only for types never registered. Pipelines that
-// know an edge's exact type can pin the bare codec with
+// registry (one tag byte + the registered codec's payload); a value of an
+// unregistered type fails the task with an error naming the type.
+// Pipelines that know an edge's exact type can pin the bare codec with
 // Stream.EdgeCodec and save the tag byte.
 type Auto struct{}
 

@@ -3,12 +3,14 @@ package codec
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
+	"encoding/hex"
 	"errors"
 	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
+
+	"clonos/internal/types"
 )
 
 // builtinSamples covers every built-in tag with representative values,
@@ -84,20 +86,20 @@ func assertSemanticEqual(t *testing.T, want, got any) {
 	}
 }
 
-// regTestBlob is a byte string whose codec has no EncodedSize: the
-// shape of a user codec written against Codec alone.
+// regTestBlob is a byte string with a user-registered codec.
 type regTestBlob []byte
 type regTestBlobCodec struct{}
 
 func (regTestBlobCodec) EncodeAppend(dst []byte, v any) ([]byte, error) {
 	return append(dst, v.(regTestBlob)...), nil
 }
+func (regTestBlobCodec) EncodedSize(v any) int        { return len(v.(regTestBlob)) }
 func (regTestBlobCodec) Decode(b []byte) (any, error) { return regTestBlob(bytes.Clone(b)), nil }
 
 // TestFramedLengthWidth crosses the 128-byte and 16 KiB boundaries of
-// the frame's length varint on both encode paths: a Sizer codec ([]byte)
-// writes the length at final width up front, an unsized one
-// (regTestBlob) reserves one byte and shifts the payload right once.
+// the frame's length varint, for a built-in codec ([]byte) and a
+// registered one (regTestBlob): the length is written at final width up
+// front.
 func TestFramedLengthWidth(t *testing.T) {
 	RegisterType(regTestBlob(nil), regTestBlobCodec{})
 	for _, n := range []int{0, 1, 126, 127, 128, 129, 1 << 14, 1<<14 + 1} {
@@ -106,8 +108,8 @@ func TestFramedLengthWidth(t *testing.T) {
 			payload[i] = byte(i)
 		}
 		for _, v := range []any{payload, regTestBlob(payload)} {
-			if _, unsized := v.(regTestBlob); unsized != (FramedSize(v) < 0) {
-				t.Fatalf("n=%d %T: FramedSize = %d", n, v, FramedSize(v))
+			if got, want := FramedSize(v), 1+UvarintLen(uint64(n))+n; got != want {
+				t.Fatalf("n=%d %T: FramedSize = %d, want %d", n, v, got, want)
 			}
 			// Prefix garbage ensures the frame respects the dst offset.
 			enc, err := EncodeAnyFramed([]byte{0xAA, 0xBB}, v)
@@ -156,6 +158,7 @@ type regTestCodec struct{}
 func (regTestCodec) EncodeAppend(dst []byte, v any) ([]byte, error) {
 	return Int64Codec{}.EncodeAppend(dst, v.(regTestType).A)
 }
+func (regTestCodec) EncodedSize(v any) int { return VarintLen(v.(regTestType).A) }
 func (regTestCodec) Decode(b []byte) (any, error) {
 	v, err := Int64Codec{}.Decode(b)
 	if err != nil {
@@ -168,9 +171,6 @@ type regTestCodec2 struct{ regTestCodec }
 
 func TestRegisterType(t *testing.T) {
 	RegisterType(regTestType{}, regTestCodec{})
-	if _, ok := TypedFor(regTestType{}); !ok {
-		t.Fatal("registered type not found")
-	}
 	// Identical re-registration is a no-op.
 	RegisterType(regTestType{}, regTestCodec{})
 	// Conflicting re-registration panics.
@@ -195,26 +195,27 @@ func TestRegisterType(t *testing.T) {
 	}
 }
 
-type unregisteredType struct{ S string }
-
-func TestGobFallbackRoundTrip(t *testing.T) {
-	// Registered with gob (required for interface encoding) but NOT with
-	// RegisterType, so the tier must take the TagGob fallback.
-	gob.Register(unregisteredType{})
-	v := unregisteredType{S: "via gob"}
-	enc, err := EncodeAny(nil, v)
-	if err != nil {
-		t.Fatal(err)
+// TestReservedTag: tag 1 (once a reflective fallback's) stays unassigned,
+// so every other tag keeps its number. Nothing encodes under it — an
+// unregistered type is an error naming the type (statestore's
+// TestUnregisteredTypeIsNamed has the table) — and a byte damaged into a
+// 1 is a decode error.
+func TestReservedTag(t *testing.T) {
+	if TagNil != 0 || TagGob != 1 || TagInt64 != 2 || TagMapStringAny != 13 || firstCustomTag != 16 {
+		t.Fatal("built-in tags renumbered")
 	}
-	if TypeTag(enc[0]) != TagGob {
-		t.Fatalf("unregistered type got tag %d, want TagGob", enc[0])
+	if c := registry.Load().byTag[TagGob]; c != nil {
+		t.Fatalf("reserved tag is assigned to %T", c)
 	}
-	got, err := DecodeAny(enc)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := DecodeAny([]byte{byte(TagGob), 3, 1, 2}); err == nil {
+		t.Error("DecodeAny accepted the reserved tag")
 	}
-	if got != v {
-		t.Fatalf("gob fallback round trip gave %#v", got)
+	if _, _, err := DecodeAnyFramed([]byte{byte(TagGob), 2, 1, 2}); err == nil {
+		t.Error("DecodeAnyFramed accepted the reserved tag")
+	}
+	type unregistered struct{ S string }
+	if enc, err := EncodeAny(nil, unregistered{}); err == nil || !strings.Contains(err.Error(), "codec.unregistered") {
+		t.Errorf("unregistered type encoded to % x, err %v", enc, err)
 	}
 }
 
@@ -267,6 +268,39 @@ func TestCompositeCountBounded(t *testing.T) {
 		}
 		if _, err := c.Decode([]byte{3, 0}); !errors.Is(err, ErrShortBuffer) {
 			t.Errorf("%T: count 3 with one byte left: %v, want ErrShortBuffer", c, err)
+		}
+	}
+}
+
+// TestBuiltinTagsGolden pins the wire bytes of one record per built-in
+// tag through Auto to what the last commit with a gob tier produced (hex
+// captured there): retiring tag 1 renumbered nothing, so edges,
+// snapshot frames and fingerprints of every in-tree type are unchanged.
+func TestBuiltinTagsGolden(t *testing.T) {
+	for _, tc := range []struct {
+		v    any
+		want string
+	}{
+		{nil, "00000005002aa41300"},
+		{int64(-77), "00000007002aa413029901"},
+		{2.5, "0000000d002aa413034004000000000000"},
+		{"hello", "0000000a002aa4130468656c6c6f"},
+		{[]byte{9, 8, 7}, "00000008002aa41305090807"},
+		{true, "00000006002aa4130601"},
+		{int(-42), "00000006002aa4130753"},
+		{uint64(1 << 40), "0000000b002aa41308808080808020"},
+		{[]any{int64(1), "two", nil}, "00000010002aa4130903020102040374776f0000"},
+		{[]int64{-1, 0, 1 << 50}, "00000010002aa4130a0301008080808080808004"},
+		{map[int64]any{-5: "neg", 9: []any{true}}, "00000013002aa4130b020904036e656712090401060101"},
+		{map[uint64]int64{1: -1, 1 << 60: 1 << 60}, "0000001a002aa4130c020101808080808080808010808080808080808020"},
+		{map[string]any{"a": int64(1), "b": nil}, "0000000f002aa4130d02016102010201620000"},
+	} {
+		got, err := EncodeElement(nil, types.Record(42, 1234, tc.v), Auto{})
+		if err != nil {
+			t.Fatalf("%T: %v", tc.v, err)
+		}
+		if hex.EncodeToString(got) != tc.want {
+			t.Errorf("%T: wire bytes %x, want %s", tc.v, got, tc.want)
 		}
 	}
 }

@@ -7,7 +7,6 @@ package codec_test
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -20,15 +19,12 @@ import (
 	_ "clonos/internal/synthetic"
 )
 
-// gobOnly has no typed codec: it takes the gob fallback, which no size
-// pass can measure.
-type gobOnly struct{ S string }
-
-func init() { gob.Register(gobOnly{}) }
+// noCodec is a type nobody registered: it cannot be sized or encoded.
+type noCodec struct{ S string }
 
 // inTree lists the registry without the codecs that codec's own tests
-// register (regTest*), which stand for user codecs and may lack Sizer.
-func inTree() (types []reflect.Type, codecs map[reflect.Type]codec.Codec) {
+// register (regTest*) — whether they are there depends on test order.
+func inTree() (types []reflect.Type, codecs map[reflect.Type]codec.SizedCodec) {
 	codecs = codec.RegisteredCodecs()
 	for t, c := range codecs {
 		if strings.HasPrefix(reflect.TypeOf(c).Name(), "regTest") {
@@ -42,17 +38,22 @@ func inTree() (types []reflect.Type, codecs map[reflect.Type]codec.Codec) {
 	return types, codecs
 }
 
-// TestEveryInTreeCodecIsSizer is the registry walk: a codec registered by
-// an in-tree package without EncodedSize would put every snapshot that
-// holds its type back on the grow-and-shift path.
+// TestEveryInTreeCodecIsSizer: that a registered codec has EncodedSize is
+// RegisterType's parameter type. What a type cannot say is that the walk
+// below covers what a running job registers, and that each codec sizes
+// its own type and refuses every other.
 func TestEveryInTreeCodecIsSizer(t *testing.T) {
 	types, codecs := inTree()
 	if len(types) < 20 {
 		t.Fatalf("registry holds %d types: the operator, nexmark and synthetic registrations are not linked in", len(types))
 	}
+	g := &gen{r: rand.New(rand.NewSource(14)), types: types}
 	for _, typ := range types {
-		if _, ok := codecs[typ].(codec.Sizer); !ok {
-			t.Errorf("%T (registered for %v) does not implement codec.Sizer", codecs[typ], typ)
+		if v := g.registered(typ, 1); codecs[typ].EncodedSize(v) < 0 {
+			t.Errorf("%v: EncodedSize refuses its own type (%#v)", typ, v)
+		}
+		if n := codecs[typ].EncodedSize(noCodec{}); n >= 0 {
+			t.Errorf("%v: EncodedSize of a foreign type = %d, want negative", typ, n)
 		}
 	}
 }
@@ -61,8 +62,8 @@ func TestEveryInTreeCodecIsSizer(t *testing.T) {
 type gen struct {
 	r     *rand.Rand
 	types []reflect.Type
-	// unsized lets interface-typed slots hold a gobOnly value.
-	unsized bool
+	// unregistered lets interface-typed slots hold a noCodec value.
+	unregistered bool
 }
 
 // integer spreads magnitudes over every varint width.
@@ -94,8 +95,8 @@ func (g *gen) any(depth int) any {
 	case n == len(g.types):
 		return nil
 	case n == len(g.types)+1:
-		if g.unsized {
-			return gobOnly{S: "x"}
+		if g.unregistered {
+			return noCodec{S: "x"}
 		}
 		return nil
 	default:
@@ -156,7 +157,7 @@ func (g *gen) value(t reflect.Type, depth int) reflect.Value {
 }
 
 // refFramed frames v from its unframed encoding: tag | uvarint(len) |
-// payload, the format EncodeAnyFramed must produce on either path.
+// payload, the format EncodeAnyFramed must produce.
 func refFramed(t *testing.T, v any) []byte {
 	t.Helper()
 	enc, err := codec.EncodeAny(nil, v)
@@ -177,17 +178,13 @@ func TestEncodedSizeMatchesEncoding(t *testing.T) {
 	g := &gen{r: rand.New(rand.NewSource(15)), types: types}
 	for _, typ := range types {
 		c := codecs[typ]
-		sz, ok := c.(codec.Sizer)
-		if !ok {
-			continue // TestEveryInTreeCodecIsSizer reports it
-		}
 		for i := 0; i < 200; i++ {
 			v := g.registered(typ, 3)
 			enc, err := c.EncodeAppend(nil, v)
 			if err != nil {
 				t.Fatalf("%v: EncodeAppend(%#v): %v", typ, v, err)
 			}
-			if n := sz.EncodedSize(v); n != len(enc) {
+			if n := c.EncodedSize(v); n != len(enc) {
 				t.Fatalf("%v: EncodedSize = %d, EncodeAppend wrote %d bytes for %#v", typ, n, len(enc), v)
 			}
 			framed, err := codec.EncodeAnyFramed([]byte{0xAA}, v)
@@ -201,40 +198,36 @@ func TestEncodedSizeMatchesEncoding(t *testing.T) {
 				t.Fatalf("%v: frame differs from tag|uvarint(len)|payload for %#v", typ, v)
 			}
 		}
-		if n := sz.EncodedSize(gobOnly{}); n >= 0 {
-			t.Errorf("%v: EncodedSize of a foreign type = %d, want negative", typ, n)
-		}
 	}
 }
 
-// TestUnsizedValueInsideComposite: one value no codec can size makes
-// every composite around it unsized, and the frame still comes out right
-// by the shift path.
+// TestUnsizedValueInsideComposite: one value of an unregistered type
+// makes every registered composite around it unencodable — it sizes
+// negative and the encode names the type — while every value drawn
+// without one still frames to tag|uvarint(len)|payload.
 func TestUnsizedValueInsideComposite(t *testing.T) {
 	types, _ := inTree()
-	g := &gen{r: rand.New(rand.NewSource(16)), types: types, unsized: true}
-	unsized := 0
+	g := &gen{r: rand.New(rand.NewSource(16)), types: types, unregistered: true}
+	refused := 0
 	for i := 0; i < 2000; i++ {
 		v := g.any(3)
 		framed, err := codec.EncodeAnyFramed(nil, v)
+		if n := codec.FramedSize(v); (n < 0) != (err != nil) {
+			t.Fatalf("FramedSize = %d but EncodeAnyFramed returned %v for %#v", n, err, v)
+		}
 		if err != nil {
-			t.Fatalf("EncodeAnyFramed(%#v): %v", v, err)
+			refused++
+			if !strings.Contains(err.Error(), "codec_test.noCodec") {
+				t.Fatalf("error %q does not name the unregistered type in %#v", err, v)
+			}
+			continue
 		}
 		if !bytes.Equal(framed, refFramed(t, v)) {
 			t.Fatalf("frame differs from tag|uvarint(len)|payload for %#v", v)
 		}
-		switch n := codec.FramedSize(v); {
-		case n < 0:
-			unsized++
-		case n != len(framed):
-			t.Fatalf("FramedSize = %d, EncodeAnyFramed wrote %d bytes for %#v", n, len(framed), v)
-		}
 	}
-	if unsized == 0 {
-		t.Fatal("no drawn value held a gob-fallback element: the unsized path went untested")
-	}
-	if n := codec.FramedSize([]any{int64(1), gobOnly{S: "x"}}); n >= 0 {
-		t.Fatalf("FramedSize of a list holding a gob-fallback value = %d, want negative", n)
+	if refused == 0 {
+		t.Fatal("no drawn value held an unregistered element: the error path went untested")
 	}
 }
 

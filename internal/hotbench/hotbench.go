@@ -168,24 +168,10 @@ func Scenarios() []Scenario {
 			Element: func(i int) types.Element { return alignedElem },
 		},
 		{
-			Name: "gob", BufSize: buffer.DefaultSize, PoolBufs: 8, Codec: codec.GobFallback(),
-			Element: func(i int) types.Element {
-				return types.Record(uint64(i)&0xffff, int64(i)&0xffff, int64(i))
-			},
-		},
-		{
-			// The typed tier on a realistic struct edge: NEXMark bid
-			// events through the auto codec (registry dispatch + the
-			// hand-written EventCodec), the encoding every nil-codec edge
-			// now gets for registered types.
+			// A realistic struct edge: NEXMark bid events through the auto
+			// codec (registry dispatch + the hand-written EventCodec), the
+			// encoding every nil-codec edge gets.
 			Name: "typed-struct", BufSize: buffer.DefaultSize, PoolBufs: 8, Codec: codec.Auto{},
-			Element: func(i int) types.Element { return structElems[i&255] },
-		},
-		{
-			// The same struct edge through the reflective gob fallback:
-			// the before side of the typed-tier speedup, and the budget
-			// tests' comparison baseline.
-			Name: "struct-gob", BufSize: buffer.DefaultSize, PoolBufs: 8, Codec: codec.GobFallback(),
 			Element: func(i int) types.Element { return structElems[i&255] },
 		},
 	}

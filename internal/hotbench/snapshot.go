@@ -2,14 +2,11 @@ package hotbench
 
 // Snapshot-path benchmarks: where hotbench.Loop drives the per-record
 // network hot path, these scenarios drive the per-checkpoint state
-// encoding — Store.Snapshot and Store.DeltaSnapshot over typed values —
-// plus the legacy gob encoding of the same store as the before/after
-// baseline. Results share the Result JSON shape with per-entry
-// normalization (ns_per_elem is nanoseconds per state entry).
+// encoding — Store.Snapshot and Store.DeltaSnapshot. Results share the
+// Result JSON shape with per-entry normalization (ns_per_elem is
+// nanoseconds per state entry).
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"strings"
 	"testing"
@@ -18,12 +15,6 @@ import (
 	"clonos/internal/nexmark"
 	"clonos/internal/statestore"
 )
-
-func init() {
-	// The snapshot-gob baseline encodes bare Bid values reflectively;
-	// nexmark only gob-registers the Event union.
-	gob.Register(nexmark.Bid{})
-}
 
 // snapshotEntries is the store population of the snapshot scenarios:
 // enough keys that per-entry cost dominates fixed overhead.
@@ -78,37 +69,12 @@ func fullSnapshot(extraBytes int) func() func() (int, error) {
 // BENCH_hotpath.json.
 func SnapshotScenarios() []SnapshotScenario {
 	return []SnapshotScenario{
-		// Full snapshot through the binary frame + typed codecs, at two
-		// value sizes: 17-byte entries, where per-entry work (sort, tag
-		// resolve, varints) is the cost, and 2 KiB entries — the
-		// benchmark's syn-state regime — where moving the bytes is.
+		// Full snapshot at two value sizes: 17-byte entries, where
+		// per-entry work (sort, tag resolve, varints) is the cost, and
+		// 2 KiB entries — the benchmark's syn-state regime — where moving
+		// the bytes is.
 		{Name: "snapshot-encode", Entries: snapshotEntries, New: fullSnapshot(0)},
 		{Name: "snapshot-encode-2k", Entries: snapshotEntries, New: fullSnapshot(2048)},
-		{
-			// The same store through the legacy gob encoding (the
-			// pre-binary Snapshot implementation), kept as the measured
-			// before side of the switch.
-			Name: "snapshot-gob", Entries: snapshotEntries,
-			New: func() func() (int, error) {
-				s := populatedStore(0)
-				return func() (int, error) {
-					flat := make(map[string]map[uint64]any)
-					for _, name := range s.Names() {
-						m := make(map[uint64]any)
-						s.Keyed(name).Range(func(key uint64, v any) bool {
-							m[key] = v
-							return true
-						})
-						flat[name] = m
-					}
-					var buf bytes.Buffer
-					if err := gob.NewEncoder(&buf).Encode(flat); err != nil {
-						return 0, err
-					}
-					return buf.Len(), nil
-				}
-			},
-		},
 		{
 			// Incremental snapshot: each op re-dirties deltaDirty keys and
 			// encodes the delta (the Put cost is part of the real delta

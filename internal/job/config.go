@@ -55,6 +55,13 @@ func (g Guarantee) String() string {
 	}
 }
 
+// Engine parameters no caller varies.
+const (
+	checkpointTimeout  = 30 * time.Second // the coordinator abandons a checkpoint not acked by then
+	mailboxSize        = 1024             // bound of a task's async event queue
+	latencyMarkerEvery = 64               // source records between two latency markers
+)
+
 // Config is the runtime configuration of one job.
 type Config struct {
 	Mode      Mode
@@ -73,11 +80,11 @@ type Config struct {
 	StandbyAllocation AllocationStrategy
 
 	CheckpointInterval time.Duration
-	CheckpointTimeout  time.Duration
 	// HeartbeatTimeout bounds failure detection; it is not a wait. A
 	// crash is declared at the break, in both modes; a quarter of this is
 	// the period of the fallback sweep for a dead task whose wake-up could
-	// not be acted on (see Runtime.liveness). It also scales RestartDelay.
+	// not be acted on (see Runtime.liveness). Half of it is the settle
+	// pause of a global restart.
 	HeartbeatTimeout time.Duration
 
 	// BufferSize is the network-buffer size in bytes.
@@ -103,14 +110,6 @@ type Config struct {
 	// SnapshotDir persists checkpoints to disk when non-empty.
 	SnapshotDir string
 
-	// MailboxSize bounds the async event queue per task.
-	MailboxSize int
-	// LatencyMarkerEvery makes every source emit a latency marker after
-	// that many source records (0 disables). Markers flow to the sinks
-	// like watermarks and feed the live end-to-end latency histogram.
-	// The cadence is count-based and the stamp is causally logged, so
-	// guided replay re-emits byte-identical markers.
-	LatencyMarkerEvery int
 	// Obs is the metrics registry the runtime reports into; nil creates
 	// a private one (retrievable via Runtime.Obs).
 	Obs *obs.Registry
@@ -147,12 +146,6 @@ type Config struct {
 	// ended span as it is published — the flight recorder plugs in here.
 	TraceSink obs.TracerSink
 
-	// RestartDelay is the settle pause a global restart waits between
-	// tearing the old tasks down and deploying the rebuilt topology
-	// (draining lingering sends from the torn-down incarnations). 0
-	// keeps the historical default of HeartbeatTimeout/2; a negative
-	// value removes the pause entirely.
-	RestartDelay time.Duration
 	// ServiceSeed, when non-zero, derives a deterministic per-task seed
 	// stream for the nondeterministic UDF services (random source):
 	// replaying a crash schedule then reproduces the exact nondeterminant
@@ -184,7 +177,6 @@ func DefaultConfig() Config {
 		DSD:                    1,
 		Standby:                true,
 		CheckpointInterval:     500 * time.Millisecond,
-		CheckpointTimeout:      30 * time.Second,
 		HeartbeatTimeout:       600 * time.Millisecond,
 		BufferSize:             8 * 1024,
 		ChannelBuffers:         10,
@@ -193,21 +185,7 @@ func DefaultConfig() Config {
 		FlushInterval:          5 * time.Millisecond,
 		InFlight:               inflight.Config{Policy: inflight.PolicySpillThreshold, Threshold: 0.25},
 		TimestampGranularityMs: 1,
-		MailboxSize:            1024,
-		LatencyMarkerEvery:     64,
 		StallDeadline:          5 * time.Second,
-	}
-}
-
-// effectiveRestartDelay resolves the global-restart settle pause.
-func (c Config) effectiveRestartDelay() time.Duration {
-	switch {
-	case c.RestartDelay < 0:
-		return 0
-	case c.RestartDelay == 0:
-		return c.HeartbeatTimeout / 2
-	default:
-		return c.RestartDelay
 	}
 }
 

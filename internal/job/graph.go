@@ -66,15 +66,15 @@ type Edge struct {
 	// KeyOf re-keys records for hash partitioning; nil keeps the
 	// producing record's key.
 	KeyOf func(v any) uint64
-	// Codec serializes record values on this edge; nil auto-selects the
-	// registered typed codec per value (codec.Auto), with gob as the
-	// fallback for unregistered types.
+	// Codec serializes record values on this edge; nil selects the
+	// registered codec per value (codec.Auto).
 	Codec codec.Codec
 }
 
 // CodecOrDefault returns the edge codec. The default is the registry
-// dispatcher: values of registered concrete types take the hand-written
-// reflection-free encoding, everything else the tagged gob fallback.
+// dispatcher: one tag byte, then the encoding of the codec registered
+// for the value's concrete type; a value of an unregistered type is an
+// encode error that fails the sending task.
 func (e *Edge) CodecOrDefault() codec.Codec {
 	if e.Codec != nil {
 		return e.Codec

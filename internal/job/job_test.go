@@ -1,12 +1,13 @@
 package job
 
 import (
+	"encoding/binary"
 	"testing"
 	"time"
 
+	"clonos/internal/codec"
 	"clonos/internal/kafkasim"
 	"clonos/internal/operator"
-	"clonos/internal/statestore"
 	"clonos/internal/types"
 )
 
@@ -197,7 +198,21 @@ func TestGraphDownstream(t *testing.T) {
 // statefulValue is a state value used by the failure tests.
 type statefulValue struct{ Total int64 }
 
-func init() { statestore.Register(statefulValue{}) }
+type statefulValueCodec struct{}
+
+func (statefulValueCodec) EncodeAppend(dst []byte, v any) ([]byte, error) {
+	return binary.AppendVarint(dst, v.(statefulValue).Total), nil
+}
+func (statefulValueCodec) EncodedSize(v any) int { return codec.VarintLen(v.(statefulValue).Total) }
+func (statefulValueCodec) Decode(b []byte) (any, error) {
+	n, err := codec.Int64Codec{}.Decode(b)
+	if err != nil {
+		return nil, err
+	}
+	return statefulValue{Total: n.(int64)}, nil
+}
+
+func init() { codec.RegisterType(statefulValue{}, statefulValueCodec{}) }
 
 // keySumPipeline: source -> keyed running sum -> sink; the sum operator
 // holds state that must survive failures exactly-once.

@@ -11,11 +11,11 @@ import (
 
 	"clonos/internal/audit"
 	"clonos/internal/checkpoint"
+	"clonos/internal/codec"
 	"clonos/internal/faultinject"
 	"clonos/internal/kafkasim"
 	"clonos/internal/operator"
 	"clonos/internal/services"
-	"clonos/internal/statestore"
 	"clonos/internal/types"
 )
 
@@ -247,25 +247,30 @@ func notActivatedWhileParked(t *testing.T, r *Runtime, victim types.TaskID) {
 	}
 }
 
-// parkedSum is a state value whose snapshot encoding can be parked by the
-// test (it goes through the gob fallback, which calls GobEncode).
+// parkedSum is a state value whose encoding — on its edge and in a
+// snapshot — can be parked by the test.
 type parkedSum struct{ Total int64 }
 
 var snapshotPark atomic.Pointer[park]
 
-func (v parkedSum) GobEncode() ([]byte, error) {
+type parkedSumCodec struct{}
+
+func (parkedSumCodec) EncodeAppend(dst []byte, v any) ([]byte, error) {
 	if p := snapshotPark.Load(); p != nil {
 		p.pass()
 	}
-	return binary.AppendVarint(nil, v.Total), nil
+	return binary.AppendVarint(dst, v.(parkedSum).Total), nil
+}
+func (parkedSumCodec) EncodedSize(v any) int { return codec.VarintLen(v.(parkedSum).Total) }
+func (parkedSumCodec) Decode(b []byte) (any, error) {
+	n, err := codec.Int64Codec{}.Decode(b)
+	if err != nil {
+		return nil, err
+	}
+	return parkedSum{Total: n.(int64)}, nil
 }
 
-func (v *parkedSum) GobDecode(b []byte) error {
-	v.Total, _ = binary.Varint(b)
-	return nil
-}
-
-func init() { statestore.Register(parkedSum{}) }
+func init() { codec.RegisterType(parkedSum{}, parkedSumCodec{}) }
 
 // TestVictimKilledMidSnapshot kills a task whose main thread is inside
 // its state snapshot. The thread goes on to hand the snapshot to the
@@ -589,7 +594,7 @@ func TestCrashInsideCheckpointCompletion(t *testing.T) {
 	}
 	victim := types.TaskID{Vertex: 2, Subtask: 0}
 	const killAt = types.CheckpointID(2)
-	r.coord = checkpoint.NewCoordinator(cfg.CheckpointInterval, cfg.CheckpointTimeout, r.expectedAcks, r.triggerCheckpoint,
+	r.coord = checkpoint.NewCoordinator(cfg.CheckpointInterval, checkpointTimeout, r.expectedAcks, r.triggerCheckpoint,
 		func(cp types.CheckpointID) {
 			if cp == killAt {
 				if err := r.InjectFailure(victim); err != nil {

@@ -102,22 +102,24 @@ func (r *Runtime) localRecover(failed types.TaskID) (escalate string) {
 	// liveness sweep declares the dead replacement once it is installed,
 	// driving a fresh recovery. The steps are harmless on a crashed task.
 	t.crashPoint(faultinject.PointRecoveryPreActivate)
-	if snap != nil {
-		if err := t.restore(snap); err != nil {
-			r.reportTaskError(failed, err)
-			// The half-activated replacement is abandoned — the global
-			// restart that this escalation triggers builds a fresh
-			// incarnation — so reap it like the dead one above: its
-			// out-channels each own a spiller thread that nothing else
-			// will ever close.
-			t.crash()
-			for _, oc := range t.allOut {
-				oc.close()
-			}
-			sp.SetAttr("aborted", "restore-failed")
-			sp.End()
-			return "restore-failed"
+	err := t.buildErr // a replacement that was not built whole is as unusable as one that cannot restore
+	if err == nil && snap != nil {
+		err = t.restore(snap)
+	}
+	if err != nil {
+		r.reportTaskError(failed, err)
+		// The half-activated replacement is abandoned — the global
+		// restart that this escalation triggers builds a fresh
+		// incarnation — so reap it like the dead one above: its
+		// out-channels each own a spiller thread that nothing else
+		// will ever close.
+		t.crash()
+		for _, oc := range t.allOut {
+			oc.close()
 		}
+		sp.SetAttr("aborted", "activation-failed")
+		sp.End()
+		return "activation-failed"
 	}
 	sp.Mark("standby-activated")
 	t.crashPoint(faultinject.PointRecoveryActivated)
@@ -450,11 +452,11 @@ func (r *Runtime) globalRestart(reason string) {
 	r.pendingReplay = make(map[types.TaskID][]replayRequest)
 	r.mu.Unlock()
 
-	// Simulated scheduler/deployment delay of a full restart (see
-	// Config.RestartDelay).
-	if d := r.cfg.effectiveRestartDelay(); d > 0 {
-		time.Sleep(d)
-	}
+	// The settle pause between tearing the old tasks down and deploying
+	// the rebuilt topology: the simulated scheduler/deployment delay of a
+	// full restart, in which lingering sends from the torn-down
+	// incarnations drain.
+	time.Sleep(r.cfg.HeartbeatTimeout / 2)
 
 	var fresh []*Task
 	r.mu.Lock()

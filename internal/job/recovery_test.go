@@ -6,10 +6,10 @@ import (
 	"testing"
 	"time"
 
+	"clonos/internal/codec"
 	"clonos/internal/kafkasim"
 	"clonos/internal/operator"
 	"clonos/internal/services"
-	"clonos/internal/statestore"
 	"clonos/internal/types"
 )
 
@@ -21,7 +21,36 @@ type enriched struct {
 	Rand    int64  // value from the RNG service
 }
 
-func init() { statestore.Register(enriched{}) }
+// enrichedCodec writes the four fields as varints.
+type enrichedCodec struct{}
+
+func (e enriched) fields() [4]int64 { return [4]int64{e.In, int64(e.Version), e.Stamp, e.Rand} }
+
+func (enrichedCodec) EncodeAppend(dst []byte, v any) ([]byte, error) {
+	for _, x := range v.(enriched).fields() {
+		dst = binary.AppendVarint(dst, x)
+	}
+	return dst, nil
+}
+func (enrichedCodec) EncodedSize(v any) (n int) {
+	for _, x := range v.(enriched).fields() {
+		n += codec.VarintLen(x)
+	}
+	return n
+}
+func (enrichedCodec) Decode(b []byte) (any, error) {
+	var f [4]int64
+	for i := range f {
+		x, w := binary.Varint(b)
+		if w <= 0 {
+			return nil, codec.ErrShortBuffer
+		}
+		f[i], b = x, b[w:]
+	}
+	return enriched{In: f[0], Version: uint64(f[1]), Stamp: f[2], Rand: f[3]}, nil
+}
+
+func init() { codec.RegisterType(enriched{}, enrichedCodec{}) }
 
 // nondetPipeline builds source -> enrich (HTTP + timestamp + RNG) -> sink.
 // The enrichment is genuinely nondeterministic: plain re-execution would

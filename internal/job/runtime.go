@@ -2,6 +2,7 @@ package job
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -150,9 +151,6 @@ func NewRuntime(g *Graph, cfg Config) (*Runtime, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.MailboxSize <= 0 {
-		cfg.MailboxSize = 1024
-	}
 	if cfg.Obs == nil {
 		cfg.Obs = obs.NewRegistry()
 	}
@@ -236,7 +234,7 @@ func NewRuntime(g *Graph, cfg Config) (*Runtime, error) {
 	)
 	r.coord = checkpoint.NewCoordinator(
 		cfg.CheckpointInterval,
-		cfg.CheckpointTimeout,
+		checkpointTimeout,
 		r.expectedAcks,
 		r.triggerCheckpoint,
 		r.onCheckpointComplete,
@@ -308,6 +306,25 @@ func (r *Runtime) Start() error {
 	tasks := make([]*Task, 0, len(r.tasks))
 	for _, t := range r.tasks {
 		tasks = append(tasks, t)
+	}
+	built := slices.Clone(tasks)
+	for _, t := range r.standbys {
+		built = append(built, t)
+	}
+	for _, t := range built {
+		if t.buildErr == nil {
+			continue
+		}
+		// Nothing runs yet: close the out-channels (each log owns a
+		// spiller thread) and leave a runtime that Stop finds stopped.
+		r.stopped = true
+		r.mu.Unlock()
+		for _, u := range built {
+			for _, oc := range u.allOut {
+				oc.close()
+			}
+		}
+		return fmt.Errorf("job: deploy %v: %w", t.id, t.buildErr)
 	}
 	r.mu.Unlock()
 	// Register outside r.mu: the callbacks read atomics only, and the

@@ -63,6 +63,10 @@ type Task struct {
 	id     types.TaskID
 	vertex *Vertex
 	env    *Runtime
+	// buildErr is why newTask could not build the task whole (no spill
+	// directory for an in-flight log). Such a task never runs: Start
+	// returns the error, start() fails a task built later.
+	buildErr error
 
 	inIDs   []types.ChannelID
 	inPorts []int
@@ -241,7 +245,7 @@ func newTask(env *Runtime, vertex *Vertex, subtask int32) *Task {
 		id:               types.TaskID{Vertex: vertex.ID, Subtask: subtask},
 		vertex:           vertex,
 		env:              env,
-		mailbox:          make(chan mailEvent, cfg.MailboxSize),
+		mailbox:          make(chan mailEvent, mailboxSize),
 		abort:            make(chan struct{}),
 		done:             make(chan struct{}),
 		flushStop:        make(chan struct{}),
@@ -305,9 +309,10 @@ func newTask(env *Runtime, vertex *Vertex, subtask int32) *Task {
 			outPool.InstrumentStall(outStall)
 			var log *inflight.Log
 			if logging {
-				l, err := inflight.NewLog(chID, t.logPool, cfg.InFlight)
-				if err == nil {
-					log = l
+				var err error
+				if log, err = inflight.NewLog(chID, t.logPool, cfg.InFlight); err != nil {
+					t.buildErr = err
+				} else {
 					log.Instrument(t.metrics.iflight)
 					log.StartEpoch(1)
 				}
@@ -464,11 +469,7 @@ func (t *Task) restore(snap *checkpoint.TaskSnapshot) error {
 		// recorded over the predecessor's live state at snapshot time. The
 		// timer bytes are re-encoded from the restored service (the set is
 		// sorted, so the encoding round-trips deterministically).
-		tb, err := t.timerSvc.Snapshot()
-		if err != nil {
-			return err
-		}
-		fp, err := audit.Fingerprint(t.store, tb, t.chanWms, t.curWm)
+		fp, err := audit.Fingerprint(t.store, t.timerSvc.Snapshot(), t.chanWms, t.curWm)
 		if err != nil {
 			return err
 		}
@@ -500,6 +501,9 @@ func (t *Task) setRecovery(ex causal.Extracted) {
 
 // start launches the task's threads.
 func (t *Task) start() {
+	if t.buildErr != nil {
+		t.fail(t.buildErr)
+	}
 	if t.crashed.Load() {
 		// The task died before launch (a fault injected mid-recovery):
 		// nothing may run, but done must still close so shutdown does
@@ -1037,7 +1041,7 @@ func (t *Task) handleLatencyMarker(e types.Element) {
 	t.broadcastElement(e)
 }
 
-// maybeEmitLatencyMarker emits a latency probe every LatencyMarkerEvery
+// maybeEmitLatencyMarker emits a latency probe every latencyMarkerEvery
 // source records. The cadence is count-based — deterministic under guided
 // replay — and the wall-clock stamp is logged as a TIMESTAMP determinant,
 // so a recovered incarnation re-emits byte-identical markers and the
@@ -1045,12 +1049,11 @@ func (t *Task) handleLatencyMarker(e types.Element) {
 //
 //clonos:mainthread
 func (t *Task) maybeEmitLatencyMarker() {
-	every := t.env.cfg.LatencyMarkerEvery
-	if every <= 0 || t.crashed.Load() {
+	if t.crashed.Load() {
 		return
 	}
 	t.sinceMarker++
-	if t.sinceMarker < every {
+	if t.sinceMarker < latencyMarkerEvery {
 		return
 	}
 	t.sinceMarker = 0
@@ -1490,11 +1493,7 @@ func (t *Task) buildSnapshot(cp types.CheckpointID) *checkpoint.TaskSnapshot {
 		t.fail(err)
 		return nil
 	}
-	timerBytes, err := t.timerSvc.Snapshot()
-	if err != nil {
-		t.fail(err)
-		return nil
-	}
+	timerBytes := t.timerSvc.Snapshot()
 	var fp uint64
 	if t.audit != nil {
 		// The fingerprint walks the LIVE store, not stateBytes: delta

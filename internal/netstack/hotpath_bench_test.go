@@ -10,7 +10,6 @@ package netstack_test
 import (
 	"testing"
 
-	"clonos/internal/codec"
 	"clonos/internal/hotbench"
 	"clonos/internal/types"
 )
@@ -132,10 +131,10 @@ func TestHotPathStraddleBounded(t *testing.T) {
 	}
 }
 
-// TestTypedStructAllocBudget fences the typed codec tier on the struct
-// edge: NEXMark bid events through the auto codec must stay within a few
+// TestTypedStructAllocBudget fences the registry on the struct edge:
+// NEXMark bid events through the auto codec must stay within a few
 // allocations per element (decode rebuilds the Bid and boxes the Event;
-// encode must be zero-alloc), versus the gob fallback's ~335.
+// encode must be zero-alloc).
 func TestTypedStructAllocBudget(t *testing.T) {
 	sc := scenarioByName(t, "typed-struct")
 	const elems = 2000
@@ -149,54 +148,5 @@ func TestTypedStructAllocBudget(t *testing.T) {
 	if perElem > 4.0 {
 		t.Errorf("typed-struct: %.3f allocs/elem exceeds budget 4.0 — the reflection-free struct path regressed",
 			perElem)
-	}
-}
-
-// TestTypedStructSpeedup pins the tentpole claim of the typed codec
-// tier: the same struct elements through the registered codec must beat
-// the gob fallback by at least 20x end to end. Measured ~185x at
-// introduction; a fall below 20x means the typed path silently fell back
-// to reflection (or gob got 10x faster, which would be its own news).
-func TestTypedStructSpeedup(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing comparison skipped in -short")
-	}
-	typed := testing.Benchmark(func(b *testing.B) {
-		hotbench.Bench(b, scenarioByName(t, "typed-struct"))
-	})
-	gob := testing.Benchmark(func(b *testing.B) {
-		hotbench.Bench(b, scenarioByName(t, "struct-gob"))
-	})
-	ratio := float64(gob.NsPerOp()) / float64(typed.NsPerOp())
-	t.Logf("typed-struct %d ns/elem, struct-gob %d ns/elem: %.1fx", typed.NsPerOp(), gob.NsPerOp(), ratio)
-	if ratio < 20 {
-		t.Errorf("typed codec speedup %.1fx below the 20x floor (typed %d ns, gob %d ns)",
-			ratio, typed.NsPerOp(), gob.NsPerOp())
-	}
-}
-
-// TestGobEncodeAllocBudget bounds the pooled gob encode scratch: the
-// sync.Pool'd sink must hold EncodeAppend to the encoder's own cost
-// (fresh encoder + reflection), with no bytes.Buffer double-buffering.
-func TestGobEncodeAllocBudget(t *testing.T) {
-	c := codec.GobCodec{}
-	dst := make([]byte, 0, 4096)
-	// Warm the sink pool and gob's type registry.
-	if _, err := c.EncodeAppend(dst, int64(1)); err != nil {
-		t.Fatal(err)
-	}
-	per := testing.AllocsPerRun(100, func() {
-		if _, err := c.EncodeAppend(dst, int64(42)); err != nil {
-			t.Fatal(err)
-		}
-	})
-	t.Logf("gob EncodeAppend: %.1f allocs/op", per)
-	// The fresh encoder itself (required: each value's stream must be
-	// self-describing, the decode side uses a fresh decoder per value)
-	// costs ~17 allocations. The budget fences out the double-buffering
-	// the pooled sink removed — a bytes.Buffer grown in stages plus the
-	// copy-out append.
-	if per > 20 {
-		t.Errorf("gob EncodeAppend: %.1f allocs/op exceeds budget 20 — pooled encode scratch regressed", per)
 	}
 }

@@ -1,12 +1,13 @@
 package nexmark
 
-// Differential tests for the typed NEXMark codecs: the hand-written
-// binary encoding must round-trip every value exactly, agree with the
-// gob fallback's semantics (decode(encode(v)) identical under both), and
+// Differential tests for the NEXMark codecs: the hand-written binary
+// encoding must round-trip every value exactly, agree with encoding/gob
+// as a reflective oracle (decode(encode(v)) identical under both), and
 // reject truncated or trailing bytes. Event generation is seeded, so a
 // failure reproduces.
 
 import (
+	"bytes"
 	"encoding/gob"
 	"errors"
 	"math/rand"
@@ -18,11 +19,25 @@ import (
 )
 
 func init() {
-	// The gob fallback side of the differential needs the bare shapes
-	// registered; the engine itself only gob-registers the Event union.
+	// The oracle encodes each value inside an interface field; gob wants
+	// the concrete shapes registered for that. Only this test uses gob.
+	gob.Register(Event{})
 	gob.Register(Person{})
 	gob.Register(Auction{})
 	gob.Register(Bid{})
+}
+
+type gobBox struct{ V any }
+
+// gobRoundTrip is the oracle: v through encoding/gob and back.
+func gobRoundTrip(v any) (any, error) {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(gobBox{V: v}); err != nil {
+		return nil, err
+	}
+	var out gobBox
+	err := gob.NewDecoder(&buf).Decode(&out)
+	return out.V, err
 }
 
 func randString(rng *rand.Rand, max int) string {
@@ -72,12 +87,13 @@ func randEvent(rng *rand.Rand) Event {
 	}
 }
 
-// TestTypedMatchesGobSemantics decodes each value through the typed
-// codec and through the gob fallback and requires identical results —
-// the typed tier changes the wire format, never the value semantics.
+// TestTypedMatchesGobSemantics round-trips each value through its
+// registered codec (resolved the way an Auto edge resolves it) and
+// through the gob oracle and requires identical results — a hand-written
+// codec chooses the wire format, never the value semantics.
 func TestTypedMatchesGobSemantics(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	gobC := codec.GobFallback()
+	typedC := codec.Auto{}
 	for i := 0; i < 500; i++ {
 		var v any
 		switch i % 4 {
@@ -90,10 +106,6 @@ func TestTypedMatchesGobSemantics(t *testing.T) {
 		default:
 			v = randBid(rng)
 		}
-		typedC, ok := codec.TypedFor(v)
-		if !ok {
-			t.Fatalf("no typed codec for %T", v)
-		}
 		tEnc, err := typedC.EncodeAppend(nil, v)
 		if err != nil {
 			t.Fatalf("typed encode %#v: %v", v, err)
@@ -102,13 +114,9 @@ func TestTypedMatchesGobSemantics(t *testing.T) {
 		if err != nil {
 			t.Fatalf("typed decode %#v: %v", v, err)
 		}
-		gEnc, err := gobC.EncodeAppend(nil, v)
+		gDec, err := gobRoundTrip(v)
 		if err != nil {
-			t.Fatalf("gob encode %#v: %v", v, err)
-		}
-		gDec, err := gobC.Decode(gEnc)
-		if err != nil {
-			t.Fatalf("gob decode %#v: %v", v, err)
+			t.Fatalf("gob round trip %#v: %v", v, err)
 		}
 		if !reflect.DeepEqual(tDec, v) {
 			t.Fatalf("typed round trip diverged:\n  in:  %#v\n  out: %#v", v, tDec)

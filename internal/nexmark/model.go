@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	"clonos/internal/codec"
-	"clonos/internal/statestore"
 )
 
 // EventKind discriminates the three NEXMark event types.
@@ -83,20 +82,16 @@ func (e Event) Time() int64 {
 }
 
 func init() {
-	// Event is stored in interface-typed state; gob registration remains
-	// for legacy snapshot images and the reflective fallback.
-	statestore.Register(Event{})
-	// The typed tier: every NEXMark shape that crosses an edge or lands
-	// in keyed state encodes through its hand-written codec — snapshots,
-	// fingerprints, and Auto edges never pay the gob reflection walk.
+	// Every NEXMark shape that crosses an edge or lands in keyed state
+	// encodes through its hand-written codec: Auto edges, snapshots and
+	// fingerprints.
 	codec.RegisterType(Event{}, EventCodec{})
 	codec.RegisterType(Person{}, PersonCodec{})
 	codec.RegisterType(Auction{}, AuctionCodec{})
 	codec.RegisterType(Bid{}, BidCodec{})
 }
 
-// EventCodec is a hand-written binary codec for Event values, far cheaper
-// than the reflective gob fallback on the benchmark's hot path.
+// EventCodec is a hand-written binary codec for Event values.
 type EventCodec struct{}
 
 func putString(dst []byte, s string) []byte {

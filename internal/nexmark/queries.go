@@ -9,12 +9,11 @@ import (
 	"clonos/internal/job"
 	"clonos/internal/kafkasim"
 	"clonos/internal/operator"
-	"clonos/internal/statestore"
 	"clonos/internal/types"
 )
 
 // Result is the uniform output record of every query, with a compact
-// binary codec so the hot sink edges avoid reflective encoding.
+// binary codec for the hot sink edges.
 type Result struct {
 	A uint64  // entity or window identifier
 	B int64   // integral value (price, count)
@@ -24,12 +23,8 @@ type Result struct {
 }
 
 func init() {
-	statestore.Register(Result{})
-	statestore.Register(q4Acc{})
-	statestore.Register([]int64{})
-	statestore.Register(map[uint64]int64{})
-	// Typed tier registrations; []int64 and map[uint64]int64 are codec
-	// package built-ins.
+	// []int64 and map[uint64]int64, the other state shapes the queries
+	// keep, are codec package built-ins.
 	codec.RegisterType(Result{}, ResultCodec{})
 	codec.RegisterType(q4Acc{}, q4AccCodec{})
 }

@@ -1,11 +1,11 @@
 package operator
 
-// Typed snapshot codecs for the operator-state shapes: every value an
-// operator keeps in keyed state encodes through the codec package's
-// reflection-free tier instead of the gob fallback, so snapshots, delta
-// snapshots, and audit fingerprints stay off the reflection walk.
-// Interface-typed fields (accumulators, window panes, join buffers)
-// nest through codec.EncodeAnyFramed, which recurses into the registry.
+// Codecs for the operator-state shapes: every value an operator keeps in
+// keyed state is registered here, which is what lets snapshots, delta
+// snapshots and audit fingerprints encode it at all (the registry is the
+// only way a value becomes bytes). Interface-typed fields (accumulators,
+// window panes, join buffers) nest through codec.EncodeAnyFramed, which
+// recurses into the registry.
 
 import (
 	"encoding/binary"
@@ -295,8 +295,8 @@ func encodeAnySlice(dst []byte, s []any) ([]byte, error) {
 	return dst, nil
 }
 
-// sized adds two encoded sizes, staying negative ("unknown", see
-// codec.Sizer) when either is.
+// sized adds two encoded sizes, staying negative ("cannot be encoded",
+// see codec.Sizer) when either is.
 func sized(a, b int) int {
 	if a < 0 || b < 0 {
 		return -1

@@ -1,14 +1,6 @@
 package operator
 
-import (
-	"clonos/internal/statestore"
-	"clonos/internal/types"
-)
-
-func init() {
-	statestore.Register(map[int64]*joinAcc{})
-	statestore.Register(&joinAcc{})
-}
+import "clonos/internal/types"
 
 // HashJoin is a full-history two-input equi-join on the record key
 // (Nexmark Q3's incremental join): each side is retained in keyed state

@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"clonos/internal/kafkasim"
-	"clonos/internal/statestore"
 	"clonos/internal/types"
 )
 
@@ -14,8 +13,6 @@ type wmState struct {
 	Count  int64
 	LastWm int64
 }
-
-func init() { statestore.Register(wmState{}) }
 
 // KafkaSource reads the partitions of a simulated Kafka topic assigned to
 // this subtask (partition % parallelism == subtask). Offsets live in

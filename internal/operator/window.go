@@ -3,14 +3,8 @@ package operator
 import (
 	"fmt"
 
-	"clonos/internal/statestore"
 	"clonos/internal/types"
 )
-
-func init() {
-	statestore.Register(map[int64]any{})
-	statestore.Register([]sessionState{})
-}
 
 // AggregateFn is an incremental window aggregate.
 type AggregateFn struct {
@@ -46,8 +40,6 @@ type avgAcc struct {
 	N   int64
 }
 
-func init() { statestore.Register(avgAcc{}) }
-
 // AvgFloat aggregates the mean of extract(value).
 func AvgFloat(extract func(v any) float64) AggregateFn {
 	return AggregateFn{
@@ -72,8 +64,6 @@ type maxAcc struct {
 	Score float64
 	Valid bool
 }
-
-func init() { statestore.Register(maxAcc{}) }
 
 // MaxBy keeps the record value with the highest score.
 func MaxBy(score func(v any) float64) AggregateFn {
@@ -120,8 +110,6 @@ type WindowResult struct {
 	End   int64
 	Value any
 }
-
-func init() { statestore.Register(WindowResult{}) }
 
 // Window builds a keyed window aggregation operator. Emitted records carry
 // the window's end-1 as timestamp and the user key; the value is the

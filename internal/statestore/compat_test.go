@@ -1,14 +1,14 @@
 package statestore
 
-// Back-compat and framing tests for the binary snapshot encoding: legacy
-// gob images (full and delta) must still restore, the version byte must
-// reject foreign frames with a pinned message, and the binary image must
-// be byte-deterministic and semantically identical to what the legacy
-// encoding preserved.
+// Framing tests for the snapshot encoding: the version byte must reject
+// foreign frames with a pinned message, bytes that are not a frame are
+// ErrCorrupt, and the image must be byte-deterministic — and the bytes it
+// has always been.
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/hex"
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
@@ -29,26 +29,6 @@ func populate(s *Store) {
 	mixed.Put(5, nil)
 }
 
-// legacyGobSnapshot builds a full snapshot the way the pre-binary
-// Snapshot implementation did.
-func legacyGobSnapshot(t *testing.T, s *Store) []byte {
-	t.Helper()
-	flat := make(map[string]map[uint64]any)
-	for _, name := range s.Names() {
-		m := make(map[uint64]any)
-		s.Keyed(name).Range(func(key uint64, v any) bool {
-			m[key] = v
-			return true
-		})
-		flat[name] = m
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(flat); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 func storesEqual(t *testing.T, a, b *Store) {
 	t.Helper()
 	if !reflect.DeepEqual(a.Names(), b.Names()) {
@@ -64,49 +44,6 @@ func storesEqual(t *testing.T, a, b *Store) {
 				t.Fatalf("%s[%d]: %#v vs %#v", name, key, ka.Get(key), kb.Get(key))
 			}
 		}
-	}
-}
-
-// TestRestoreLegacyGobSnapshot proves a pre-binary image still restores
-// to the identical store through the gob fallback path.
-func TestRestoreLegacyGobSnapshot(t *testing.T) {
-	src := NewStore()
-	populate(src)
-
-	legacy := NewStore()
-	if err := legacy.Restore(legacyGobSnapshot(t, src)); err != nil {
-		t.Fatalf("legacy restore: %v", err)
-	}
-	binSnap, err := src.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaBinary := NewStore()
-	if err := viaBinary.Restore(binSnap); err != nil {
-		t.Fatalf("binary restore: %v", err)
-	}
-	storesEqual(t, src, legacy)
-	storesEqual(t, legacy, viaBinary)
-}
-
-// TestApplyLegacyGobDelta proves a pre-binary delta image still applies.
-func TestApplyLegacyGobDelta(t *testing.T) {
-	d := delta{
-		Changes: map[string]map[uint64]any{"s": {1: int64(10), 2: "x"}},
-		Deletes: map[string][]uint64{"s": {3}},
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(d); err != nil {
-		t.Fatal(err)
-	}
-	s := NewStore()
-	s.Keyed("s").Put(3, int64(99))
-	if err := s.ApplyDelta(buf.Bytes()); err != nil {
-		t.Fatalf("legacy delta apply: %v", err)
-	}
-	ks := s.Keyed("s")
-	if ks.Get(1) != int64(10) || ks.Get(2) != "x" || ks.Get(3) != nil {
-		t.Fatalf("legacy delta applied wrong: %v %v %v", ks.Get(1), ks.Get(2), ks.Get(3))
 	}
 }
 
@@ -133,8 +70,7 @@ func TestSnapshotVersionRejected(t *testing.T) {
 }
 
 // TestSnapshotPriorVersionAccepted proves a version-2 image (the layout is
-// unchanged; only the 'F' in-flight kind was added in 3) still restores —
-// the committed legacy baseline must keep loading.
+// unchanged; only the 'F' in-flight kind was added in 3) still restores.
 func TestSnapshotPriorVersionAccepted(t *testing.T) {
 	src := NewStore()
 	populate(src)
@@ -150,16 +86,25 @@ func TestSnapshotPriorVersionAccepted(t *testing.T) {
 	storesEqual(t, src, s)
 }
 
-// TestSnapshotMalformedHeaderRejected covers a 0x00-leading buffer that
-// is not a valid frame.
+// TestSnapshotMalformedHeaderRejected covers buffers that are not a frame
+// of the expected kind: a damaged magic, the other kind's magic, a frame
+// cut inside its header, and bytes that never were a frame.
 func TestSnapshotMalformedHeaderRejected(t *testing.T) {
 	s := NewStore()
-	if err := s.Restore([]byte{0x00, 'X', 'X', 2, 0}); err == nil ||
+	if err := s.Restore([]byte{0x00, 'X', 'X', 2, 0}); !errors.Is(err, ErrCorrupt) ||
 		!strings.Contains(err.Error(), "malformed snapshot header") {
 		t.Fatalf("malformed header not rejected: %v", err)
 	}
-	if err := s.ApplyDelta([]byte{0x00, 'C', 'S', 2, 0}); err == nil {
-		t.Fatal("full-snapshot magic accepted as delta")
+	if err := s.ApplyDelta([]byte{0x00, 'C', 'S', 2, 0}); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("full-snapshot magic accepted as delta: %v", err)
+	}
+	for _, img := range [][]byte{{0x00}, {0x00, 'C', 'S'}, {0x0d, 0xff, 0x81, 0x04, 0x01, 0x02}, []byte("not a frame")} {
+		if err := s.Restore(img); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("Restore(% x): %v, want ErrCorrupt", img, err)
+		}
+		if err := s.ApplyDelta(img); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("ApplyDelta(% x): %v, want ErrCorrupt", img, err)
+		}
 	}
 }
 
@@ -183,7 +128,24 @@ func TestSnapshotDeterministic(t *testing.T) {
 	}
 }
 
-// TestBinaryDeltaRoundTrip covers the new frame end to end, including
+// TestSnapshotGolden pins the full image of the populate store to the
+// bytes the last commit with a gob tier produced (hex captured there):
+// deleting that tier changed no byte of a frame, so the frame version
+// stays 3.
+func TestSnapshotGolden(t *testing.T) {
+	const want = "004353030206636f756e74733200020100010201060202010c03020112040201180502011e060201240702012a08020130090201360a02013c0b0201420c0201480d02014e0e0201540f02015a10020160110201661202016c13020172140201781502017e16020284011702028a01180202900119020296011a02029c011b0202a2011c0202a8011d0202ae011e0202b4011f0202ba01200202c001210202c601220202cc01230202d201240202d801250202de01260202e401270202ea01280202f001290202f6012a0202fc012b020282022c020288022d02028e022e020294022f02029a02300202a002310202a602056d69786564050104086120737472696e67020503090807030308400400000000000004090902020102040374776f050000"
+	s := NewStore()
+	populate(s)
+	got, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hex.EncodeToString(got) != want {
+		t.Fatalf("snapshot bytes changed:\n got %x\nwant %s", got, want)
+	}
+}
+
+// TestBinaryDeltaRoundTrip covers the delta frame end to end, including
 // deletes and the nil value tag.
 func TestBinaryDeltaRoundTrip(t *testing.T) {
 	src := NewStore()

@@ -12,19 +12,19 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"clonos/internal/codec"
+	"clonos/internal/types"
 )
 
-// sizedRec has a typed codec with EncodedSize, unsizedRec one without —
-// the shape of a user codec written against codec.Codec alone. widget
-// (statestore_test.go) has none and takes the gob fallback.
+// sizedRec is a user type with a registered codec, like widget
+// (statestore_test.go).
 type sizedRec struct {
 	N       int64
 	Payload []byte
 }
-type unsizedRec struct{ Payload []byte }
 
 type sizedRecCodec struct{}
 
@@ -44,19 +44,7 @@ func (sizedRecCodec) Decode(b []byte) (any, error) {
 	return sizedRec{N: n, Payload: bytes.Clone(b[w:])}, nil
 }
 
-type unsizedRecCodec struct{}
-
-func (unsizedRecCodec) EncodeAppend(dst []byte, v any) ([]byte, error) {
-	return append(dst, v.(unsizedRec).Payload...), nil
-}
-func (unsizedRecCodec) Decode(b []byte) (any, error) {
-	return unsizedRec{Payload: bytes.Clone(b)}, nil
-}
-
-func init() {
-	codec.RegisterType(sizedRec{}, sizedRecCodec{})
-	codec.RegisterType(unsizedRec{}, unsizedRecCodec{})
-}
+func init() { codec.RegisterType(sizedRec{}, sizedRecCodec{}) }
 
 // refFramed is the frame format stated from scratch: tag | uvarint(len)
 // | payload, assembled from the unframed encoding.
@@ -114,28 +102,28 @@ func refSnapshot(s *Store) ([]byte, error) {
 // that it leaves the dirty sets alone, so the encoder under test can run
 // on the same store afterwards.
 func refDeltaSnapshot(s *Store) ([]byte, error) {
-	d := delta{Changes: make(map[string]map[uint64]any), Deletes: make(map[string][]uint64)}
+	changes, deletes := make(map[string]map[uint64]any), make(map[string][]uint64)
 	for name, st := range s.states {
 		for key := range st.dirty {
 			if v, ok := st.data[key]; ok {
-				m := d.Changes[name]
+				m := changes[name]
 				if m == nil {
 					m = make(map[uint64]any)
-					d.Changes[name] = m
+					changes[name] = m
 				}
 				m[key] = v
 			} else {
-				d.Deletes[name] = append(d.Deletes[name], key)
+				deletes[name] = append(deletes[name], key)
 			}
 		}
 	}
 	out := appendMagic(make([]byte, 0, 64), magicKindDelta)
-	out, err := refAppendStateSection(out, d.Changes)
+	out, err := refAppendStateSection(out, changes)
 	if err != nil {
 		return nil, err
 	}
-	names := make([]string, 0, len(d.Deletes))
-	for name := range d.Deletes {
+	names := make([]string, 0, len(deletes))
+	for name := range deletes {
 		names = append(names, name)
 	}
 	sort.Strings(names)
@@ -143,7 +131,7 @@ func refDeltaSnapshot(s *Store) ([]byte, error) {
 	for _, name := range names {
 		out = binary.AppendUvarint(out, uint64(len(name)))
 		out = append(out, name...)
-		keys := d.Deletes[name]
+		keys := deletes[name]
 		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 		out = binary.AppendUvarint(out, uint64(len(keys)))
 		for _, k := range keys {
@@ -154,19 +142,14 @@ func refDeltaSnapshot(s *Store) ([]byte, error) {
 }
 
 // randomValue draws a state value: scalars, byte strings on both sides of
-// the 128 B and 16 KiB length widths, nested composites, nil, and — with
-// unsized — values only the shift path can frame.
-func randomValue(r *rand.Rand, unsized bool) any {
+// the 128 B and 16 KiB length widths, nested composites, user types, nil.
+func randomValue(r *rand.Rand) any {
 	blob := func(max int) []byte {
 		b := make([]byte, r.Intn(max+1))
 		r.Read(b)
 		return b
 	}
-	n := 9
-	if unsized {
-		n = 12
-	}
-	switch r.Intn(n) {
+	switch r.Intn(11) {
 	case 0:
 		return nil
 	case 1:
@@ -186,11 +169,9 @@ func randomValue(r *rand.Rand, unsized bool) any {
 	case 8:
 		return uint64(r.Uint64() >> uint(r.Intn(64)))
 	case 9:
-		return unsizedRec{Payload: blob(400)}
-	case 10:
 		return widget{Name: string(blob(8)), Count: r.Intn(100)}
 	default:
-		return []any{unsizedRec{Payload: blob(200)}, int64(1)}
+		return []any{widget{Name: string(blob(200))}, int64(1)}
 	}
 }
 
@@ -198,7 +179,7 @@ func randomValue(r *rand.Rand, unsized bool) any {
 // and mutates it again (puts, overwrites, deletes, a Clear, a state that
 // only loses keys, an empty state), so both a full and a delta snapshot
 // of it are non-trivial.
-func randomStore(r *rand.Rand, unsized bool) *Store {
+func randomStore(r *rand.Rand) *Store {
 	s := NewStore()
 	key := func() uint64 { return r.Uint64() >> uint(r.Intn(64)) }
 	names := []string{"a", "op.state", "", "zz-long-" + string(make([]byte, 130)), "b"}
@@ -209,7 +190,7 @@ func randomStore(r *rand.Rand, unsized bool) *Store {
 		for n := r.Intn(40); n > 0; n-- {
 			k := key()
 			all = append(all, k)
-			ks.Put(k, randomValue(r, unsized))
+			ks.Put(k, randomValue(r))
 		}
 	}
 	s.Keyed("empty")
@@ -227,9 +208,9 @@ func randomStore(r *rand.Rand, unsized bool) *Store {
 				case 0:
 					ks.Delete(k)
 				case 1:
-					ks.Put(k, randomValue(r, unsized))
+					ks.Put(k, randomValue(r))
 				default:
-					ks.Put(key(), randomValue(r, unsized))
+					ks.Put(key(), randomValue(r))
 				}
 			}
 		}
@@ -238,13 +219,12 @@ func randomStore(r *rand.Rand, unsized bool) *Store {
 }
 
 // TestSnapshotBytesMatchReference: on random multi-state stores mixing
-// sized, unsized, gob-fallback and nil values, Snapshot and DeltaSnapshot
-// produce exactly the bytes the pre-change encoder produced, and a store
-// whose values are all sized ends with len == cap.
+// built-in, user-registered and nil values, Snapshot and DeltaSnapshot
+// produce exactly the bytes the reference encoder produces, from one
+// allocation of exactly that size (len == cap).
 func TestSnapshotBytesMatchReference(t *testing.T) {
 	for seed := int64(0); seed < 150; seed++ {
-		unsized := seed%3 == 0
-		s := randomStore(rand.New(rand.NewSource(seed)), unsized)
+		s := randomStore(rand.New(rand.NewSource(seed)))
 		want, err := refSnapshot(s)
 		if err != nil {
 			t.Fatal(err)
@@ -256,8 +236,8 @@ func TestSnapshotBytesMatchReference(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("seed %d: Snapshot differs from the reference encoder (%d vs %d bytes)", seed, len(got), len(want))
 		}
-		if !unsized && len(got) != cap(got) {
-			t.Fatalf("seed %d: Snapshot of sized values has len %d, cap %d", seed, len(got), cap(got))
+		if len(got) != cap(got) {
+			t.Fatalf("seed %d: Snapshot has len %d, cap %d", seed, len(got), cap(got))
 		}
 		want, err = refDeltaSnapshot(s)
 		if err != nil {
@@ -270,8 +250,8 @@ func TestSnapshotBytesMatchReference(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("seed %d: DeltaSnapshot differs from the reference encoder (%d vs %d bytes)", seed, len(got), len(want))
 		}
-		if !unsized && len(got) != cap(got) {
-			t.Fatalf("seed %d: DeltaSnapshot of sized values has len %d, cap %d", seed, len(got), cap(got))
+		if len(got) != cap(got) {
+			t.Fatalf("seed %d: DeltaSnapshot has len %d, cap %d", seed, len(got), cap(got))
 		}
 		for name, st := range s.states {
 			if len(st.dirty) != 0 {
@@ -367,13 +347,15 @@ func damagedFrames(t *testing.T) (src *Store, full, dlt []byte) {
 
 // TestDamagedFramesNeverPanic cuts a full and a delta image short at
 // every position and flips every bit of them. The contract: Restore and
-// ApplyDelta return an error (ErrCorrupt once the header is whole) or
-// succeed — they never panic, and never size an allocation from a count
-// the frame's own length cannot back. A frame has no checksum yet
-// (ROADMAP item 4), so a flipped payload bit can still decode to a
-// different, valid state; what is required of a flip that decodes is that
-// the store it leaves is a working one: it snapshots and restores to
-// itself.
+// ApplyDelta return an error or succeed — they never panic, and never
+// size an allocation from a count the frame's own length cannot back.
+// Every cut is ErrCorrupt, and so is every flip in the three magic bytes:
+// there is one image format, and bytes that are not it go to no other
+// decoder.
+// A frame has no checksum yet (ROADMAP item 6), so a flipped payload bit
+// can still decode to a different, valid state; what is required of a
+// flip that decodes is that the store it leaves is a working one: it
+// snapshots and restores to itself.
 func TestDamagedFramesNeverPanic(t *testing.T) {
 	src, full, dlt := damagedFrames(t)
 	base := func() *Store {
@@ -400,10 +382,7 @@ func TestDamagedFramesNeverPanic(t *testing.T) {
 	for _, f := range frames {
 		for cut := 1; cut < len(f.img); cut++ {
 			_, err := f.apply(f.img[:cut:cut])
-			if err == nil {
-				t.Fatalf("%s cut at %d/%d: accepted", f.name, cut, len(f.img))
-			}
-			if cut >= snapshotHeadLen && !errors.Is(err, ErrCorrupt) {
+			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("%s cut at %d/%d: %v, want ErrCorrupt", f.name, cut, len(f.img), err)
 			}
 		}
@@ -412,6 +391,9 @@ func TestDamagedFramesNeverPanic(t *testing.T) {
 			img := bytes.Clone(f.img)
 			img[bit/8] ^= 1 << (bit % 8)
 			s, err := f.apply(img)
+			if bit/8 < snapshotHeadLen-1 && !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%s bit %d (magic byte %d): %v, want ErrCorrupt", f.name, bit, bit/8, err)
+			}
 			if err != nil {
 				continue
 			}
@@ -451,6 +433,53 @@ func TestDamagedFramesNeverPanic(t *testing.T) {
 		}
 		if !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: %v, want ErrCorrupt", name, err)
+		}
+	}
+}
+
+// orphan is a type nobody registered a codec for.
+type orphan struct{ N int }
+
+// TestUnregisteredTypeIsNamed: wherever a value of an unregistered type
+// would have to become bytes — on an Auto edge, in keyed state (full and
+// delta snapshot), nested in a []any list — the failure is an error that
+// names the type and the remedy, and for state also the entry. It never
+// panics on a size that went negative, however many such values there
+// are.
+func TestUnregisteredTypeIsNamed(t *testing.T) {
+	keyed := func(v any, n int) *Store {
+		s := NewStore()
+		for k := 0; k < n; k++ {
+			s.Keyed("op.state").Put(uint64(k), v)
+		}
+		return s
+	}
+	for _, tc := range []struct {
+		name   string
+		encode func() ([]byte, error)
+		where  string
+	}{
+		{"auto edge", func() ([]byte, error) {
+			return codec.EncodeElement(nil, types.Record(1, 2, orphan{3}), codec.Auto{})
+		}, ""},
+		{"list on an auto edge", func() ([]byte, error) {
+			return codec.EncodeElement(nil, types.Record(1, 2, []any{int64(1), orphan{3}}), codec.Auto{})
+		}, ""},
+		{"keyed state", keyed(orphan{3}, 1).Snapshot, "op.state[0]"},
+		{"keyed state, many entries", keyed(orphan{3}, 500).Snapshot, "op.state[0]"},
+		{"keyed state, delta", keyed(orphan{3}, 1).DeltaSnapshot, "op.state[0]"},
+		{"list in keyed state", keyed([]any{"x", orphan{3}}, 1).Snapshot, "op.state[0]"},
+		{"pointer in keyed state", keyed(&orphan{3}, 1).Snapshot, "op.state[0]"},
+	} {
+		out, err := tc.encode()
+		if err == nil {
+			t.Errorf("%s: encoded %d bytes of a type with no codec", tc.name, len(out))
+			continue
+		}
+		for _, want := range []string{"statestore.orphan", "clonos.RegisterCodec", tc.where} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: error %q does not mention %q", tc.name, err, want)
+			}
 		}
 	}
 }

@@ -85,7 +85,7 @@ func EncodeInFlight(chans []InFlightChannel) []byte {
 // section is rejected with an error — restore must never silently drop
 // logged input.
 func DecodeInFlight(b []byte) ([]InFlightChannel, error) {
-	if len(b) < snapshotHeadLen || b[0] != legacyFirstByte || b[1] != magicChecksByte1 || b[2] != magicKindInFlight {
+	if len(b) < snapshotHeadLen || b[0] != magicByte0 || b[1] != magicByte1 || b[2] != magicKindInFlight {
 		return nil, fmt.Errorf("statestore: malformed in-flight section header % x", b[:min(len(b), snapshotHeadLen)])
 	}
 	if b[3] != snapshotVersion {

@@ -36,7 +36,7 @@ func sampleInFlight() []InFlightChannel {
 func TestInFlightRoundTrip(t *testing.T) {
 	in := sampleInFlight()
 	enc := EncodeInFlight(in)
-	if len(enc) < snapshotHeadLen || enc[0] != legacyFirstByte || enc[2] != magicKindInFlight || enc[3] != snapshotVersion {
+	if len(enc) < snapshotHeadLen || enc[0] != magicByte0 || enc[2] != magicKindInFlight || enc[3] != snapshotVersion {
 		t.Fatalf("in-flight frame header wrong: % x", enc[:snapshotHeadLen])
 	}
 	out, err := DecodeInFlight(enc)

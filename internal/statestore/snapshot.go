@@ -1,9 +1,7 @@
 package statestore
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 
@@ -24,49 +22,46 @@ import (
 //	         channel (deserializer prefix + captured messages).
 //
 // Values are codec.EncodeAnyFramed frames (type tag | uvarint len |
-// payload), so registered types encode through the reflection-free tier
-// and anything else falls back to a gob-tagged frame. The leading 0x00
-// distinguishes the frame from legacy gob images: a gob stream begins
-// with a message byte count, which is never zero, so Restore/ApplyDelta
-// can decode pre-binary snapshots with the old reflective path.
+// payload) written by the registered codec of each value's type. This is
+// the only image format: bytes that do not start with the magic of the
+// expected kind are ErrCorrupt.
 //
 // Version 3 added the 'F' in-flight kind; the 'S'/'D' layouts are
-// unchanged, so readers accept version 2 images of those kinds (the
-// committed legacy baseline) alongside version-3 ones.
+// unchanged, so readers still accept version 2 images of those kinds.
+// Nothing in the tree writes version 2 and no image outlives its
+// process: the range is the last "image nothing can produce" path, left
+// for ROADMAP 3(e) to delete with TestSnapshotPriorVersionAccepted.
 const (
 	snapshotVersion    = 3
 	minSnapshotVersion = 2
 	magicKindFull      = 'S'
 	magicKindDelta     = 'D'
 	magicKindInFlight  = 'F'
-	legacyFirstByte    = 0x00
+	magicByte0         = 0x00
+	magicByte1         = 'C'
 	snapshotHeadLen    = 4
-	magicChecksByte1   = 'C'
 )
 
 func appendMagic(dst []byte, kind byte) []byte {
-	return append(dst, legacyFirstByte, magicChecksByte1, kind, snapshotVersion)
+	return append(dst, magicByte0, magicByte1, kind, snapshotVersion)
 }
 
-// checkMagic validates the frame header for kind and returns whether b is
-// a binary frame at all (false means legacy gob).
-func checkMagic(b []byte, kind byte) (bool, error) {
-	if len(b) == 0 || b[0] != legacyFirstByte {
-		return false, nil
-	}
-	if len(b) < snapshotHeadLen || b[1] != magicChecksByte1 || b[2] != kind {
-		return false, fmt.Errorf("statestore: malformed snapshot header % x", b[:min(len(b), snapshotHeadLen)])
+// checkMagic validates the frame header for kind.
+func checkMagic(b []byte, kind byte) error {
+	if len(b) < snapshotHeadLen || b[0] != magicByte0 || b[1] != magicByte1 || b[2] != kind {
+		return fmt.Errorf("%w: malformed snapshot header % x", ErrCorrupt, b[:min(len(b), snapshotHeadLen)])
 	}
 	if b[3] < minSnapshotVersion || b[3] > snapshotVersion {
-		return false, fmt.Errorf("statestore: unsupported snapshot version %d (want %d..%d)", b[3], minSnapshotVersion, snapshotVersion)
+		return fmt.Errorf("statestore: unsupported snapshot version %d (want %d..%d)", b[3], minSnapshotVersion, snapshotVersion)
 	}
-	return true, nil
+	return nil
 }
 
 // sectionSize is the number of bytes appendSection writes for runs. A
-// value whose codec cannot size it (codec.FramedSize < 0: a user codec
-// without EncodedSize, or the gob fallback) counts as nothing, which
-// leaves the fill pass to grow its buffer by append.
+// value that cannot be encoded (codec.FramedSize is -1: its type, or one
+// nested in it, has no registered codec) leaves the sum short, and still
+// positive — its key is at least one byte — which is of no consequence:
+// appendSection returns the error that names the value.
 func sectionSize(runs []keyRun, values bool) int {
 	size := codec.UvarintLen(uint64(len(runs)))
 	for _, r := range runs {
@@ -74,7 +69,7 @@ func sectionSize(runs []keyRun, values bool) int {
 		for _, k := range r.keys {
 			size += codec.UvarintLen(k)
 			if values {
-				size += max(codec.FramedSize(r.st.data[k]), 0)
+				size += codec.FramedSize(r.st.data[k])
 			}
 		}
 	}
@@ -106,9 +101,9 @@ func appendSection(dst []byte, runs []keyRun, values bool) ([]byte, error) {
 }
 
 // ErrCorrupt marks a snapshot, delta or in-flight frame whose bytes do
-// not parse: cut short, trailed by extra bytes, or holding a count or
-// length that the bytes left cannot satisfy. It wraps the codec error
-// that says which.
+// not parse: not a frame of the expected kind at all, cut short, trailed
+// by extra bytes, or holding a count or length that the bytes left
+// cannot satisfy. It wraps the codec error that says which.
 var ErrCorrupt = errors.New("statestore: corrupt frame")
 
 // frameReader walks a frame's bytes, latching the first error; after
@@ -187,35 +182,16 @@ func readStateSection(r *frameReader) map[string]map[uint64]any {
 	return out
 }
 
-// readBinaryDelta decodes the body of a delta frame: a changes section,
-// then the deletes written by appendSection without values.
-func readBinaryDelta(r *frameReader) delta {
-	d := delta{Changes: readStateSection(r), Deletes: make(map[string][]uint64)}
+// readDeletes decodes a section written by appendSection without values.
+func readDeletes(r *frameReader) map[string][]uint64 {
+	out := make(map[string][]uint64)
 	for n := r.count(2); n > 0 && r.err == nil; n-- {
 		name := string(r.bytes())
 		keys := make([]uint64, r.count(1))
 		for i := range keys {
 			keys[i] = r.uvarint()
 		}
-		d.Deletes[name] = keys
+		out[name] = keys
 	}
-	return d
-}
-
-// decodeLegacySnapshot decodes a pre-binary (gob) full snapshot image.
-func decodeLegacySnapshot(b []byte) (map[string]map[uint64]any, error) {
-	var flat map[string]map[uint64]any
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&flat); err != nil {
-		return nil, fmt.Errorf("statestore: restore: %w", err)
-	}
-	return flat, nil
-}
-
-// decodeLegacyDelta decodes a pre-binary (gob) delta image.
-func decodeLegacyDelta(b []byte) (delta, error) {
-	var d delta
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&d); err != nil {
-		return d, fmt.Errorf("statestore: apply delta: %w", err)
-	}
-	return d, nil
+	return out
 }

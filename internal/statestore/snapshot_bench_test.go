@@ -1,9 +1,8 @@
 package statestore_test
 
-// Budget tests for the binary snapshot encoding (see
+// Budget tests for the snapshot encoding (see
 // internal/hotbench/snapshot.go for the scenario definitions): the
-// checkpoint path must hold its one-allocation profile and its margin
-// over the legacy gob encoding it replaced.
+// checkpoint path must hold its one-allocation profile.
 
 import (
 	"testing"
@@ -56,33 +55,5 @@ func TestSnapshotEncodeAllocBudget(t *testing.T) {
 					tc.name, perEntry, tc.budget)
 			}
 		})
-	}
-}
-
-// TestSnapshotEncodeBeatsGob pins the binary frame's margin over the
-// legacy gob image on the same store (measured ~4x per entry at
-// introduction; 2x is the regression floor).
-func TestSnapshotEncodeBeatsGob(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing comparison skipped in -short")
-	}
-	bench := func(name string) float64 {
-		sc := snapshotScenarioByName(t, name)
-		op := sc.New()
-		r := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := op(); err != nil {
-					panic(err)
-				}
-			}
-		})
-		return float64(r.NsPerOp())
-	}
-	binNs := bench("snapshot-encode")
-	gobNs := bench("snapshot-gob")
-	ratio := gobNs / binNs
-	t.Logf("binary %.0f ns/op, gob %.0f ns/op: %.1fx", binNs, gobNs, ratio)
-	if ratio < 2 {
-		t.Errorf("binary snapshot only %.1fx faster than gob (want >= 2x) — typed snapshot encoding regressed", ratio)
 	}
 }

@@ -4,20 +4,9 @@
 package statestore
 
 import (
-	"encoding/gob"
 	"slices"
 	"strings"
 )
-
-// Register makes a concrete value type encodable inside snapshots. Every
-// type stored as a state value must be registered once (encoding/gob
-// requirement); built-in scalar types work without registration.
-func Register(v any) { gob.Register(v) }
-
-func init() {
-	// List-state values are []any; register once for all users.
-	gob.Register([]any{})
-}
 
 // KeyedState is one named map from partitioning key to value. Access is
 // single-threaded (the task's main loop), so no locking is done here.
@@ -206,9 +195,10 @@ func (s *Store) Walk(visit func(st *KeyedState, keys []uint64) error) error {
 }
 
 // Snapshot serializes every state to bytes: a versioned binary frame of
-// typed-codec-encoded entries (see snapshot.go), deterministic for equal
+// registry-encoded entries (see snapshot.go), deterministic for equal
 // logical state. It sizes the frame, allocates it once and fills it, so
-// len == cap on return whenever every value's codec is a codec.Sizer.
+// len == cap on return. A value of a type with no registered codec is an
+// error naming the state, the key and the type.
 func (s *Store) Snapshot() ([]byte, error) {
 	s.begin()
 	runs := s.plan(selAll)
@@ -217,44 +207,26 @@ func (s *Store) Snapshot() ([]byte, error) {
 }
 
 // Restore replaces the store contents with a snapshot produced by
-// Snapshot. A nil snapshot restores the empty store; legacy gob images
-// (pre-binary-frame) are detected by their first byte and decoded with
-// the reflective path. Dirty tracking is reset: the next delta snapshot
-// is computed against the restore point.
+// Snapshot. A nil snapshot restores the empty store; anything else that
+// is not a versioned full frame is ErrCorrupt. Dirty tracking is reset:
+// the next delta snapshot is computed against the restore point.
 func (s *Store) Restore(snapshot []byte) error {
 	*s = Store{states: make(map[string]*KeyedState), gen: s.gen + 1}
 	if len(snapshot) == 0 {
 		return nil
 	}
-	var flat map[string]map[uint64]any
-	binaryFrame, err := checkMagic(snapshot, magicKindFull)
-	if err != nil {
+	if err := checkMagic(snapshot, magicKindFull); err != nil {
 		return err
 	}
-	if binaryFrame {
-		r := frameReader{b: snapshot, i: snapshotHeadLen}
-		flat = readStateSection(&r)
-		err = r.done()
-	} else {
-		flat, err = decodeLegacySnapshot(snapshot)
-	}
-	if err != nil {
+	r := frameReader{b: snapshot, i: snapshotHeadLen}
+	flat := readStateSection(&r)
+	if err := r.done(); err != nil {
 		return err
 	}
 	for name, data := range flat {
-		if data == nil {
-			data = make(map[uint64]any)
-		}
 		s.states[name] = &KeyedState{name: name, data: data}
 	}
 	return nil
-}
-
-// delta is the decoded form of an incremental snapshot: the changed
-// entries and deleted keys of every state since the previous snapshot.
-type delta struct {
-	Changes map[string]map[uint64]any
-	Deletes map[string][]uint64
 }
 
 // DeltaSnapshot serializes only the entries changed since the previous
@@ -284,31 +256,25 @@ func (s *Store) ResetDirty() {
 }
 
 // ApplyDelta merges a DeltaSnapshot into the store — the snapshot-store
-// side of incremental checkpointing, reconstructing the full image.
-// Legacy gob deltas are detected and decoded like legacy full snapshots.
+// side of incremental checkpointing, reconstructing the full image. The
+// frame is decoded whole before anything is applied: a corrupt delta
+// leaves the store as it was.
 func (s *Store) ApplyDelta(b []byte) error {
-	var d delta
-	binaryFrame, err := checkMagic(b, magicKindDelta)
-	if err != nil {
+	if err := checkMagic(b, magicKindDelta); err != nil {
 		return err
 	}
-	if binaryFrame {
-		r := frameReader{b: b, i: snapshotHeadLen}
-		d = readBinaryDelta(&r)
-		err = r.done()
-	} else {
-		d, err = decodeLegacyDelta(b)
-	}
-	if err != nil {
+	r := frameReader{b: b, i: snapshotHeadLen}
+	changes, deletes := readStateSection(&r), readDeletes(&r)
+	if err := r.done(); err != nil {
 		return err
 	}
-	for name, changes := range d.Changes {
+	for name, entries := range changes {
 		st := s.Keyed(name)
-		for key, v := range changes {
+		for key, v := range entries {
 			st.data[key] = v
 		}
 	}
-	for name, keys := range d.Deletes {
+	for name, keys := range deletes {
 		st := s.Keyed(name)
 		for _, key := range keys {
 			delete(st.data, key)

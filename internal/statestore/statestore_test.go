@@ -1,16 +1,39 @@
 package statestore
 
 import (
+	"encoding/binary"
 	"testing"
 	"testing/quick"
+
+	"clonos/internal/codec"
 )
 
+// widget is a user state type: it needs a registered codec like any
+// other (varint Count, then Name to the end).
 type widget struct {
 	Name  string
 	Count int
 }
 
-func init() { Register(widget{}) }
+type widgetCodec struct{}
+
+func (widgetCodec) EncodeAppend(dst []byte, v any) ([]byte, error) {
+	w := v.(widget)
+	return append(binary.AppendVarint(dst, int64(w.Count)), w.Name...), nil
+}
+func (widgetCodec) EncodedSize(v any) int {
+	w := v.(widget)
+	return codec.VarintLen(int64(w.Count)) + len(w.Name)
+}
+func (widgetCodec) Decode(b []byte) (any, error) {
+	n, w := binary.Varint(b)
+	if w <= 0 {
+		return nil, codec.ErrShortBuffer
+	}
+	return widget{Name: string(b[w:]), Count: int(n)}, nil
+}
+
+func init() { codec.RegisterType(widget{}, widgetCodec{}) }
 
 func TestKeyedStatePutGetDelete(t *testing.T) {
 	s := NewStore()

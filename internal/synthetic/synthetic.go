@@ -14,7 +14,6 @@ import (
 	"clonos/internal/job"
 	"clonos/internal/kafkasim"
 	"clonos/internal/operator"
-	"clonos/internal/statestore"
 	"clonos/internal/types"
 )
 
@@ -45,14 +44,10 @@ type stageState struct {
 	Payload []byte
 }
 
-func init() {
-	statestore.Register(stageState{})
-	codec.RegisterType(stageState{}, stageStateCodec{})
-}
+func init() { codec.RegisterType(stageState{}, stageStateCodec{}) }
 
-// stageStateCodec is the typed snapshot codec for stageState: the payload
-// dominates the synthetic state footprint, so snapshot encoding must not
-// pay gob's per-byte reflection walk over it.
+// stageStateCodec is the snapshot codec for stageState: the payload
+// dominates the synthetic state footprint, so it is copied, not walked.
 type stageStateCodec struct{}
 
 // EncodeAppend implements codec.Codec.

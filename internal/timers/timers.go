@@ -5,8 +5,9 @@
 package timers
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
+	"errors"
+	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -296,41 +297,86 @@ func (s *Service) run(stop chan struct{}) {
 	}
 }
 
-// snapshotState is the serialized form of pending timers.
-type snapshotState struct {
-	Proc  []Timer
-	Event []Timer
+// Snapshot wire format: the processing-time set, then the event-time
+// set, each a uvarint count followed, per timer in firing order (less),
+// by zig-zag HandlerID | Key | zig-zag When as uvarints. Equal sets give
+// equal bytes whatever order their timers were registered in; a service
+// with no timers is two bytes.
+
+// ErrCorrupt marks bytes Restore cannot parse back into timer sets.
+var ErrCorrupt = errors.New("timers: corrupt snapshot")
+
+func zigzag(x int64) uint64   { return uint64(x<<1) ^ uint64(x>>63) }
+func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
+
+func appendSet(dst []byte, timers []Timer) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(timers)))
+	for _, t := range timers {
+		dst = binary.AppendUvarint(dst, zigzag(int64(t.HandlerID)))
+		dst = binary.AppendUvarint(dst, t.Key)
+		dst = binary.AppendUvarint(dst, zigzag(t.When))
+	}
+	return dst
+}
+
+// readSet decodes one set from the front of b and returns the rest. A
+// timer takes at least three bytes: a count the bytes left cannot hold is
+// never trusted.
+func readSet(b []byte) (*set, []byte, error) {
+	n, w := binary.Uvarint(b)
+	if w <= 0 || n > uint64(len(b)-w)/3 {
+		return nil, nil, fmt.Errorf("%w: count %d with %d bytes left", ErrCorrupt, n, len(b))
+	}
+	b = b[w:]
+	out := newSet()
+	var prev Timer
+	for i := uint64(0); i < n; i++ {
+		var f [3]uint64
+		for j := range f {
+			if f[j], w = binary.Uvarint(b); w <= 0 {
+				return nil, nil, fmt.Errorf("%w: timer %d of %d cut short", ErrCorrupt, i, n)
+			}
+			b = b[w:]
+		}
+		t := Timer{HandlerID: int32(unzigzag(f[0])), Key: f[1], When: unzigzag(f[2])}
+		if int64(t.HandlerID) != unzigzag(f[0]) || i > 0 && !less(prev, t) {
+			return nil, nil, fmt.Errorf("%w: timer %d of %d out of range or order", ErrCorrupt, i, n)
+		}
+		out.add(t)
+		prev = t
+	}
+	return out, b, nil
 }
 
 // Snapshot serializes all pending timers for inclusion in a checkpoint.
-func (s *Service) Snapshot() ([]byte, error) {
+func (s *Service) Snapshot() []byte {
 	s.mu.Lock()
-	st := snapshotState{Proc: s.proc.all(), Event: s.event.all()}
+	proc, event := s.proc.all(), s.event.all()
 	s.mu.Unlock()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return appendSet(appendSet(make([]byte, 0, 2+16*(len(proc)+len(event))), proc), event)
 }
 
-// Restore replaces pending timers from a snapshot.
+// Restore replaces pending timers from a snapshot; nil stands for the
+// two empty sets.
+// Bytes Snapshot cannot have written are ErrCorrupt and leave the service
+// as it was.
 func (s *Service) Restore(b []byte) error {
-	st := snapshotState{}
-	if len(b) > 0 {
-		if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&st); err != nil {
-			return err
-		}
+	if len(b) == 0 {
+		b = []byte{0, 0}
+	}
+	proc, b, err := readSet(b)
+	if err != nil {
+		return err
+	}
+	event, b, err := readSet(b)
+	if err != nil {
+		return err
+	}
+	if len(b) != 0 {
+		return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(b))
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.proc = newSet()
-	s.event = newSet()
-	for _, t := range st.Proc {
-		s.proc.add(t)
-	}
-	for _, t := range st.Event {
-		s.event.add(t)
-	}
+	s.proc, s.event = proc, event
 	return nil
 }

@@ -1,6 +1,9 @@
 package timers
 
 import (
+	"bytes"
+	"errors"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -145,10 +148,7 @@ func TestSnapshotRestore(t *testing.T) {
 	s.RegisterProc(Timer{HandlerID: 1, Key: 1, When: 10})
 	s.RegisterProc(Timer{HandlerID: 1, Key: 2, When: 20})
 	s.RegisterEvent(Timer{HandlerID: 2, Key: 3, When: 30})
-	snap, err := s.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := s.Snapshot()
 	s2 := NewService(func() int64 { return 0 }, nil)
 	if err := s2.Restore(snap); err != nil {
 		t.Fatal(err)
@@ -206,5 +206,97 @@ func TestStartAfterStopIsNoOp(t *testing.T) {
 	if running(s) {
 		s.Stop()
 		t.Fatal("Start after Start+Stop relaunched the timer thread")
+	}
+}
+
+// populated registers a mix of timers — negative handler and deadline,
+// every varint width, equal deadlines — in the order given by perm.
+func populated(perm []int) *Service {
+	proc := []Timer{
+		{HandlerID: -1, Key: 0, When: 1_700_000_000_000},
+		{HandlerID: 1, Key: 1, When: 10},
+		{HandlerID: 1, Key: 2, When: 10},
+		{HandlerID: math.MaxInt32, Key: math.MaxUint64, When: math.MaxInt64},
+		{HandlerID: math.MinInt32, Key: 300, When: math.MinInt64},
+	}
+	event := []Timer{{HandlerID: 2, Key: 3, When: 30}, {HandlerID: 2, Key: 70000, When: -5}, {HandlerID: 7, Key: 3, When: 30}}
+	s := NewService(func() int64 { return 0 }, nil)
+	for _, i := range perm {
+		s.RegisterProc(proc[i])
+		if i < len(event) {
+			s.RegisterEvent(event[i])
+		}
+	}
+	return s
+}
+
+// TestSnapshotBytesDeterministic: the image is a function of the timer
+// sets alone — registration order does not show, and a restored service
+// snapshots to the bytes it was restored from (TaskSnapshot.Timers feeds
+// the audit fingerprint on both sides of a recovery).
+func TestSnapshotBytesDeterministic(t *testing.T) {
+	a, b := populated([]int{0, 1, 2, 3, 4}).Snapshot(), populated([]int{3, 1, 4, 0, 2}).Snapshot()
+	if !bytes.Equal(a, b) {
+		t.Fatalf("registration order shows in the snapshot:\n% x\n% x", a, b)
+	}
+	restored := NewService(nil, nil)
+	if err := restored.Restore(a); err != nil {
+		t.Fatal(err)
+	}
+	if restored.PendingProc() != 5 || restored.PendingEvent() != 3 {
+		t.Fatalf("restored proc=%d event=%d, want 5 and 3", restored.PendingProc(), restored.PendingEvent())
+	}
+	if again := restored.Snapshot(); !bytes.Equal(a, again) {
+		t.Fatalf("snapshot → restore → snapshot changed the bytes:\n% x\n% x", a, again)
+	}
+	if empty := NewService(nil, nil).Snapshot(); len(empty) > 2 {
+		t.Fatalf("a service with no timers encodes in %d bytes, want <= 2", len(empty))
+	}
+}
+
+// TestRestoreDamagedSnapshot truncates a populated image at every length
+// and flips every bit of it. A truncation is always ErrCorrupt. A flip
+// may still spell a valid image (there is no checksum); then the service
+// it leaves must be a working one — it snapshots and restores to itself
+// — and otherwise it is ErrCorrupt with the service left as it was.
+// Nothing panics, and no count is trusted beyond the bytes behind it.
+func TestRestoreDamagedSnapshot(t *testing.T) {
+	img := populated([]int{0, 1, 2, 3, 4}).Snapshot()
+	for cut := 1; cut < len(img); cut++ {
+		if err := NewService(nil, nil).Restore(img[:cut:cut]); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("cut at %d/%d: %v, want ErrCorrupt", cut, len(img), err)
+		}
+	}
+	accepted := 0
+	for bit := 0; bit < 8*len(img); bit++ {
+		damaged := bytes.Clone(img)
+		damaged[bit/8] ^= 1 << (bit % 8)
+		s := populated([]int{1})
+		before := s.Snapshot()
+		switch err := s.Restore(damaged); {
+		case err == nil:
+			accepted++
+			got, back := s.Snapshot(), NewService(nil, nil)
+			if err := back.Restore(got); err != nil || !bytes.Equal(back.Snapshot(), got) {
+				t.Fatalf("bit %d: accepted into a service that does not restore to itself (err %v)", bit, err)
+			}
+		case !errors.Is(err, ErrCorrupt):
+			t.Fatalf("bit %d: %v, want ErrCorrupt", bit, err)
+		case !bytes.Equal(s.Snapshot(), before):
+			t.Fatalf("bit %d: a rejected image changed the service", bit)
+		}
+	}
+	t.Logf("%d bytes: %d of %d bit flips still spell a valid image", len(img), accepted, 8*len(img))
+	for name, b := range map[string][]byte{
+		"huge count":     {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f},
+		"count 3, 8 B":   {3, 2, 1, 20, 2, 2, 20, 0, 0},
+		"trailing byte":  append(bytes.Clone(img), 0),
+		"handler > i32":  {1, 0x80, 0x80, 0x80, 0x80, 0x20, 1, 2, 0},
+		"duplicate":      {2, 2, 1, 20, 2, 1, 20, 0},
+		"missing events": {0},
+	} {
+		if err := NewService(nil, nil).Restore(b); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: %v, want ErrCorrupt", name, err)
+		}
 	}
 }

@@ -35,8 +35,9 @@ type Stream struct {
 	keyOf func(v any) uint64
 	keyed bool
 	// edgeCodec, when set by EdgeCodec/KeyByCodec, overrides the next
-	// connection's payload codec. Nil edges auto-select the registered
-	// typed codec per value, with gob as the reflective fallback.
+	// connection's payload codec. Nil edges select the registered codec
+	// per value (RegisterCodec); a value of an unregistered type fails
+	// its task with an error naming the type.
 	edgeCodec Codec
 }
 
