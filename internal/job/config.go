@@ -97,9 +97,13 @@ type Config struct {
 	// LogPoolBuffers is the per-task in-flight-log pool size (the
 	// paper's 80 MB / 32 KiB ≈ 2560; scaled down here).
 	LogPoolBuffers int
-	// FlushInterval is the output-flusher period (the source of
-	// nondeterministic buffer sizes).
-	FlushInterval time.Duration
+	// BufferTimeout bounds how long output may wait in a partial buffer
+	// (Flink's buffer timeout). A task's main thread cuts its partial
+	// buffers when it goes idle with every input delivered, which is
+	// normally much sooner; the bound covers a task that is never idle or
+	// waits on an input gone silent. Either cut is a nondeterministic
+	// buffer size, logged as a BUFFERSIZE determinant.
+	BufferTimeout time.Duration
 	// InFlight configures spill behaviour.
 	InFlight inflight.Config
 
@@ -182,7 +186,7 @@ func DefaultConfig() Config {
 		ChannelBuffers:         10,
 		EndpointCredit:         16,
 		LogPoolBuffers:         512,
-		FlushInterval:          5 * time.Millisecond,
+		BufferTimeout:          5 * time.Millisecond,
 		InFlight:               inflight.Config{Policy: inflight.PolicySpillThreshold, Threshold: 0.25},
 		TimestampGranularityMs: 1,
 		StallDeadline:          5 * time.Second,

@@ -105,8 +105,8 @@ func (oc *outChannel) wakeReplay() {
 	}
 }
 
-// dispatch receives a filled buffer from the writer (writer lock held):
-// stamp seq/epoch, log the BUFFERSIZE determinant, attach the causal
+// dispatch receives a filled buffer from the writer (on the task's main
+// thread): stamp seq/epoch, log the BUFFERSIZE determinant, attach the causal
 // delta, append to the in-flight log (with the §6.1 buffer-pool
 // exchange), and transmit unless pending or deduplicated. dispatch owns
 // b's structural reference and must settle it on every path.

@@ -155,13 +155,13 @@ func (r *Runtime) localRecover(failed types.TaskID) (escalate string) {
 	}
 	t.crashPoint(faultinject.PointRecoveryDedupSampled)
 
-	// Recovery starts at the break, so the dead incarnation's main and
-	// flusher threads may still be mid-element, mid-snapshot, or in a
-	// send (parked on a credit, or inside the receiver's accept hooks,
-	// which ingest its determinants even though the fence rejects it).
-	// The fence released the parked ones; wait the threads out before
-	// reading what they may still write — survivors' replicas, a sink's
-	// output, the snapshot store — or writing there ourselves.
+	// Recovery starts at the break, so the dead incarnation's main thread
+	// may still be mid-element, mid-snapshot, or in a send (parked on a
+	// credit, or inside the receiver's accept hooks, which ingest its
+	// determinants even though the fence rejects it). The fence released
+	// a parked send; wait the thread out before reading what it may still
+	// write — survivors' replicas, a sink's output, the snapshot store —
+	// or writing there ourselves.
 	<-old.done
 
 	// Step 3: retrieve determinant logs from tasks within DSD hops.

@@ -51,8 +51,8 @@ type mailEvent struct {
 }
 
 // Task is one parallel instance of a vertex: the main-thread loop, its
-// timer and flusher threads, input gate, output channels, state, and the
-// causal subsystem.
+// timer thread, input gate, output channels, state, and the causal
+// subsystem.
 //
 // The snapcov analyzer verifies that every checked state field below
 // round-trips through the pair named here (or is explicitly declared
@@ -98,10 +98,12 @@ type Task struct {
 	abort   chan struct{}
 	crashed atomic.Bool
 	state   atomic.Int32
-	// done closes when the main and flusher threads have both exited:
-	// nothing of this incarnation produces output any more.
-	done    chan struct{}
-	threads atomic.Int32
+	// done closes when the main thread has exited: nothing of this
+	// incarnation produces output any more.
+	done chan struct{}
+	// park wakes an idle main loop at the age bound of its unflushed
+	// output, or after the lost-wake-up safety net (see parkFor).
+	park *time.Timer
 
 	// Main-thread execution state (no locking: main loop only). The
 	// line-annotated fields publish atomic shadows below for off-thread
@@ -148,6 +150,13 @@ type Task struct {
 	// blockStart records when each input channel was blocked for the
 	// pending alignment (zero = not blocked). Main thread only.
 	blockStart []time.Time
+	// Output cuts (see cutAtIdle). delivered[i] is whether input i handed
+	// the main loop a buffer since the last cut; outSince is when the loop
+	// first saw output waiting in a partial buffer since then (zero: none).
+	//clonos:ephemeral cut bookkeeping; the cuts themselves are BUFFERSIZE determinants
+	delivered []bool //clonos:mainthread
+	//clonos:ephemeral wall-clock age of unflushed output; only decides when to cut, and every cut is logged
+	outSince time.Time //clonos:mainthread
 
 	// Unaligned-checkpoint capture state (main thread only). While
 	// capturing, pendingSnap holds the already-built snapshot of
@@ -178,8 +187,7 @@ type Task struct {
 	replayPosShadow   atomic.Int64
 	replayTotalShadow atomic.Int64
 
-	lastErr   atomic.Value
-	flushStop chan struct{}
+	lastErr atomic.Value
 	// fullSnapshotNext forces the next snapshot to be full (first one of
 	// an incarnation); later ones may be incremental (§6.4).
 	fullSnapshotNext bool
@@ -248,7 +256,6 @@ func newTask(env *Runtime, vertex *Vertex, subtask int32) *Task {
 		mailbox:          make(chan mailEvent, mailboxSize),
 		abort:            make(chan struct{}),
 		done:             make(chan struct{}),
-		flushStop:        make(chan struct{}),
 		store:            statestore.NewStore(),
 		epoch:            1,
 		curWm:            math.MinInt64,
@@ -344,6 +351,7 @@ func newTask(env *Runtime, vertex *Vertex, subtask int32) *Task {
 	t.eosLeft = len(t.inIDs)
 	t.barriersSeen = make([]bool, len(t.inIDs))
 	t.blockStart = make([]time.Time, len(t.inIDs))
+	t.delivered = make([]bool, len(t.inIDs))
 	t.wmShadow.Store(math.MinInt64)
 	t.chanWmShadow = make([]atomic.Int64, len(t.inIDs))
 	for i := range t.chanWmShadow {
@@ -499,7 +507,7 @@ func (t *Task) setRecovery(ex causal.Extracted) {
 	}
 }
 
-// start launches the task's threads.
+// start launches the task's main thread.
 func (t *Task) start() {
 	if t.buildErr != nil {
 		t.fail(t.buildErr)
@@ -514,16 +522,7 @@ func (t *Task) start() {
 	t.registerGauges()
 	t.state.Store(int32(stateRunning))
 	t.timerSvc.Start()
-	t.threads.Store(2)
-	go t.flusher()
 	go t.run()
-}
-
-// threadExit is deferred by the main and flusher threads.
-func (t *Task) threadExit() {
-	if t.threads.Add(-1) == 0 {
-		close(t.done)
-	}
 }
 
 // Replaying implements services.Replayer.
@@ -613,7 +612,6 @@ func (t *Task) crash() {
 		d.Close()
 	}
 	t.timerSvc.Stop()
-	close(t.flushStop)
 	select {
 	case t.env.crashWake <- struct{}{}:
 	default: // a wake-up is pending already; one pass declares every death
@@ -654,29 +652,124 @@ func (t *Task) crashPoint(point string) bool {
 	return true
 }
 
-// flusher periodically flushes partial output buffers — the
-// nondeterministic buffer cuts captured by BUFFERSIZE determinants.
-func (t *Task) flusher() {
-	defer t.threadExit()
-	tick := time.NewTicker(t.env.cfg.FlushInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-t.flushStop:
+// idlePark is how long an idle main loop parks with no output waiting: a
+// lost-wake-up safety net, not a polling interval — every input arrival
+// and mailbox event wakes the loop on its own.
+const idlePark = 100 * time.Millisecond
+
+// cutAtIdle runs when the main loop has drained every input queue and is
+// about to park; it returns how long the loop may park. Output waiting in
+// partial buffers is cut — dispatched early, a nondeterministic
+// BUFFERSIZE determinant — if every input that can deliver has delivered
+// since the last cut: one round of upstream buffers is in and has been
+// processed (DESIGN.md "Buffer cuts"). Until then the loop parks instead,
+// so a task with n inputs sends one buffer per round rather than one per
+// input buffer (which would multiply the buffer count by the fan-in at
+// every hop) — but never past the age bound, which covers an input gone
+// silent.
+//
+//clonos:mainthread
+func (t *Task) cutAtIdle() time.Duration {
+	if !t.noteOutput() {
+		return idlePark
+	}
+	wait := t.env.cfg.BufferTimeout - time.Since(t.outSince)
+	if wait > 0 && !t.allDelivered() {
+		return wait
+	}
+	t.cutOutputs()
+	return idlePark
+}
+
+// cutIfStale cuts output that has waited Config.BufferTimeout in partial
+// buffers: the bound for a task that never goes idle. It is checked after
+// every input element (a source after every polled batch), so neither a
+// trickle beside a busy stream nor the output of a slow operator waits
+// for the end of a long input buffer. Each cut also carries the task's
+// determinants downstream (DESIGN.md "Buffer cuts"); checking every
+// eighth element instead brought the pinned double-failure schedule's
+// audit reports back (14 of 200 runs against 0 of 240).
+//
+//clonos:mainthread
+func (t *Task) cutIfStale() {
+	if t.noteOutput() && time.Since(t.outSince) >= t.env.cfg.BufferTimeout {
+		t.cutOutputs()
+	}
+}
+
+// noteOutput reports whether output may be waiting in a partial buffer,
+// stamping outSince the first time the loop sees some after a cut.
+//
+//clonos:mainthread
+func (t *Task) noteOutput() bool {
+	if !t.outSince.IsZero() {
+		return true
+	}
+	for _, oc := range t.allOut {
+		if oc.writer.PendingBytes() > 0 {
+			t.outSince = time.Now()
+			return true
+		}
+	}
+	return false
+}
+
+// allDelivered reports whether every input that can deliver — neither
+// finished nor gated for a barrier alignment — has delivered since the
+// last cut. A source has no inputs: its idle is the end of its data.
+//
+//clonos:mainthread
+func (t *Task) allDelivered() bool {
+	for i, ok := range t.delivered {
+		if !ok && !t.eosSeen[i] && !(t.aligning && t.barriersSeen[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// cutOutputs dispatches every output channel's partial buffer and starts
+// the next round. dispatch logs each cut as a BUFFERSIZE determinant;
+// while recorded cuts are pending the writer ignores the request, so a
+// recovering task's buffers are the ones its predecessor cut.
+//
+//clonos:mainthread
+func (t *Task) cutOutputs() {
+	for _, oc := range t.allOut {
+		if err := oc.writer.Flush(); err != nil {
+			t.fail(err)
 			return
-		case <-tick.C:
-			for _, oc := range t.allOut {
-				if err := oc.writer.Flush(); err != nil {
-					return
-				}
-			}
+		}
+	}
+	clear(t.delivered)
+	t.outSince = time.Time{}
+}
+
+// parkFor arms the task's park timer for d and returns its channel. The
+// loops call unpark after every park, whichever case woke them.
+func (t *Task) parkFor(d time.Duration) <-chan time.Time {
+	if t.park == nil {
+		t.park = time.NewTimer(d)
+	} else {
+		t.park.Reset(d)
+	}
+	return t.park.C
+}
+
+// unpark stops the park timer and drains a firing that raced another
+// wake-up, so the next parkFor starts from a clean channel.
+func (t *Task) unpark() {
+	if !t.park.Stop() {
+		select {
+		case <-t.park.C:
+		default:
 		}
 	}
 }
 
 // run is the main thread.
 func (t *Task) run() {
-	defer t.threadExit()
+	defer close(t.done)
 	if err := t.chn.open(); err != nil {
 		t.fail(err)
 		return
@@ -767,6 +860,8 @@ func (t *Task) completeAlignment(cp types.CheckpointID) {
 }
 
 // runLive is the normal-operation loop of a non-source task.
+//
+//clonos:mainthread
 func (t *Task) runLive() {
 	budget := t.env.cfg.AlignmentBudget
 	for !t.crashed.Load() {
@@ -792,6 +887,7 @@ func (t *Task) runLive() {
 		default:
 		}
 		if idx, m, ok := t.gate.TryNext(); ok {
+			t.delivered[idx] = true
 			t.handleBuffer(idx, m)
 			if t.eosLeft == 0 {
 				t.finishTask()
@@ -804,14 +900,16 @@ func (t *Task) runLive() {
 		if t.recSpan.Load() != nil && !t.gate.Replaying() {
 			t.finishRecoverySpan()
 		}
+		park := t.parkFor(t.cutAtIdle())
 		select {
 		case ev := <-t.mailbox:
 			t.handleMail(ev)
 		case <-t.gate.Ready():
 		case <-t.abort:
 			return
-		case <-time.After(100 * time.Millisecond):
+		case <-park:
 		}
+		t.unpark()
 	}
 }
 
@@ -947,6 +1045,7 @@ func (t *Task) handleBuffer(idx int, m *netstack.Message) {
 			return
 		}
 		t.handleElement(idx, e)
+		t.cutIfStale()
 	}
 }
 
@@ -1462,7 +1561,8 @@ func (t *Task) buildSnapshot(cp types.CheckpointID) *checkpoint.TaskSnapshot {
 	}
 	syncStart := time.Now()
 	// Forward the barrier as the last element of epoch cp on every
-	// output channel, then roll the channel epochs.
+	// output channel — the cut that ends the channel's epoch — then roll
+	// the channel epochs.
 	t.broadcastElement(types.Barrier(cp))
 	for _, oc := range t.allOut {
 		if err := oc.writer.Flush(); err != nil {
@@ -1471,6 +1571,8 @@ func (t *Task) buildSnapshot(cp types.CheckpointID) *checkpoint.TaskSnapshot {
 		}
 		oc.startEpoch(cp + 1)
 	}
+	clear(t.delivered)
+	t.outSince = time.Time{}
 	var mainBase uint64
 	if t.causal != nil {
 		mainBase = t.causal.StartEpochMainAt(cp + 1)
@@ -1603,6 +1705,9 @@ func (t *Task) runSourceLive() {
 			continue
 		default:
 		}
+		if len(t.pendingBatch) == 0 {
+			t.cutIfStale() // the next element starts a new batch
+		}
 		if t.emitNextSourceElement(false) {
 			continue
 		}
@@ -1613,13 +1718,18 @@ func (t *Task) runSourceLive() {
 			t.finishTask()
 			return
 		}
+		// The source has no data right now: it is the end of what it had,
+		// so cut. It then polls again a millisecond later.
+		t.cutAtIdle()
+		park := t.parkFor(time.Millisecond)
 		select {
 		case ev := <-t.mailbox:
 			t.handleMail(ev)
 		case <-t.abort:
 			return
-		case <-time.After(time.Millisecond):
+		case <-park:
 		}
+		t.unpark()
 	}
 }
 

@@ -2,7 +2,6 @@ package netstack
 
 import (
 	"errors"
-	"sync"
 
 	"clonos/internal/buffer"
 	"clonos/internal/codec"
@@ -18,12 +17,15 @@ var ErrWriterClosed = errors.New("netstack: writer closed")
 // needed, and hands each filled buffer to the dispatch callback.
 //
 // Buffer cuts are nondeterministic in normal operation (a buffer may be cut
-// early by the output flusher, depending on timing) and are therefore
-// recorded as BUFFERSIZE determinants by the dispatch layer. During
-// causally guided recovery, the writer is fed the recorded cut sizes via
-// PushCut and reproduces byte-identical buffers.
+// early by Flush, depending on when its task ran out of input) and are
+// therefore recorded as BUFFERSIZE determinants by the dispatch layer.
+// During causally guided recovery, the writer is fed the recorded cut
+// sizes via PushCut and reproduces byte-identical buffers.
+//
+// A writer has one owner at a time — the task's main thread, or whoever
+// prepares the task before that thread starts — and is not safe for
+// concurrent use.
 type ChannelWriter struct {
-	mu       sync.Mutex
 	pool     *buffer.Pool
 	cur      *buffer.Buffer
 	scratch  []byte
@@ -39,8 +41,8 @@ type ChannelWriter struct {
 }
 
 // NewChannelWriter builds a writer drawing buffers from pool and invoking
-// dispatch (with the writer's lock held) for every completed buffer. The
-// dispatch callback takes ownership of the buffer.
+// dispatch for every completed buffer. The dispatch callback takes
+// ownership of the buffer.
 func NewChannelWriter(pool *buffer.Pool, c codec.Codec, dispatch func(*buffer.Buffer) error) *ChannelWriter {
 	return &ChannelWriter{pool: pool, codec: c, dispatch: dispatch}
 }
@@ -49,15 +51,11 @@ func NewChannelWriter(pool *buffer.Pool, c codec.Codec, dispatch func(*buffer.Bu
 // writer dispatches exactly when the current buffer reaches the next
 // recorded size instead of when it is full.
 func (w *ChannelWriter) PushCut(size int) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	w.cuts = append(w.cuts, size)
 }
 
 // InRecovery reports whether recorded cuts are still pending.
 func (w *ChannelWriter) InRecovery() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	return len(w.cuts) > 0
 }
 
@@ -70,8 +68,6 @@ func (w *ChannelWriter) InRecovery() bool {
 // encoded once and chunked across buffers exactly as before, so the byte
 // stream and cut positions are identical either way.
 func (w *ChannelWriter) WriteElement(e types.Element) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if len(w.cuts) == 0 {
 		if w.cur == nil {
 			if w.cur = w.pool.Get(); w.cur == nil {
@@ -142,8 +138,6 @@ func (w *ChannelWriter) writeChunkedLocked(data []byte) error {
 // ScratchBytes reports the cumulative bytes that took the copying
 // fallback (straddling elements and recovery-guided writes).
 func (w *ChannelWriter) ScratchBytes() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	return w.scratchBytes
 }
 
@@ -159,12 +153,10 @@ func (w *ChannelWriter) atCut() bool {
 	return w.cur.Remaining() == 0
 }
 
-// Flush dispatches the current buffer if it holds any bytes. The output
-// flusher thread calls this on its timer; the task calls it on barriers
-// and shutdown.
+// Flush dispatches the current buffer if it holds any bytes: the task
+// calls it when it runs out of input (or its output grew too old) and on
+// barriers.
 func (w *ChannelWriter) Flush() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if w.cur == nil || w.cur.Len() == 0 {
 		return nil
 	}
@@ -179,8 +171,6 @@ func (w *ChannelWriter) Flush() error {
 // ForceFlush dispatches the current buffer even during recovery. The task
 // uses it when the determinant log is exhausted and live mode resumes.
 func (w *ChannelWriter) ForceFlush() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if w.cur == nil || w.cur.Len() == 0 {
 		return nil
 	}
@@ -198,8 +188,6 @@ func (w *ChannelWriter) dispatchLocked() error {
 
 // PendingBytes reports the bytes currently buffered but not dispatched.
 func (w *ChannelWriter) PendingBytes() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if w.cur == nil {
 		return 0
 	}
