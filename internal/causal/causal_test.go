@@ -3,8 +3,6 @@ package causal
 import (
 	"encoding/binary"
 	"math/rand"
-	"reflect"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -28,48 +26,19 @@ func decodeDeterminant(b []byte) (Determinant, int, error) {
 	return d, rd.i, rd.err
 }
 
-// EncodeDelta is the reference encoder of the delta wire format: it
-// serializes forward sets the way every release so far has, and the tests
-// hold Manager.DeltaFor's direct encoding to it byte for byte.
+// EncodeDelta is the reference encoder of the delta wire format: one run
+// per set, each set's header then its run, and the tests hold
+// Manager.DeltaFor's direct encoding to it byte for byte.
 func EncodeDelta(dst []byte, sets []ForwardSet) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(sets)))
 	for _, fs := range sets {
 		dst = binary.AppendVarint(dst, int64(fs.Origin.Vertex))
 		dst = binary.AppendVarint(dst, int64(fs.Origin.Subtask))
 		dst = binary.AppendUvarint(dst, uint64(fs.Hops))
-		dst = binary.AppendUvarint(dst, uint64(len(fs.Logs)))
-		keys := make([]LogKey, 0, len(fs.Logs))
-		for k := range fs.Logs {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool {
-			a, b := keys[i], keys[j]
-			if a.Main != b.Main {
-				return a.Main
-			}
-			if a.Channel.Edge != b.Channel.Edge {
-				return a.Channel.Edge < b.Channel.Edge
-			}
-			if a.Channel.From != b.Channel.From {
-				return a.Channel.From < b.Channel.From
-			}
-			return a.Channel.To < b.Channel.To
-		})
-		for _, key := range keys {
-			run := fs.Logs[key]
-			if key.Main {
-				dst = append(dst, 1)
-			} else {
-				dst = append(dst, 0)
-				dst = binary.AppendVarint(dst, int64(key.Channel.Edge))
-				dst = binary.AppendVarint(dst, int64(key.Channel.From))
-				dst = binary.AppendVarint(dst, int64(key.Channel.To))
-			}
-			dst = binary.AppendUvarint(dst, run.Start)
-			dst = binary.AppendUvarint(dst, uint64(len(run.Ents)))
-			for _, d := range run.Ents {
-				dst = d.Append(dst)
-			}
+		dst = binary.AppendUvarint(dst, fs.Start)
+		dst = binary.AppendUvarint(dst, uint64(len(fs.Ents)))
+		for _, d := range fs.Ents {
+			dst = d.Append(dst)
 		}
 	}
 	return dst
@@ -84,7 +53,7 @@ func sampleDeterminants() []Determinant {
 		{Kind: KindRNG, Value: -987654321},
 		{Kind: KindService, ServiceID: 5, Payload: []byte(`{"a":3}`)},
 		{Kind: KindRPC, Epoch: 11, Offset: 17},
-		{Kind: KindBufferSize, Value: 32768},
+		{Kind: KindBufferSize, Output: chid(4, 1, 3), Value: 32768},
 	}
 }
 
@@ -255,25 +224,18 @@ func TestStoreIngestExtract(t *testing.T) {
 	main := []Determinant{
 		{Kind: KindEpoch, Epoch: 2},
 		{Kind: KindOrder, Channel: 0},
+		{Kind: KindBufferSize, Output: ch, Value: 100},
 		{Kind: KindTimestamp, Value: 111},
+		{Kind: KindBufferSize, Output: ch, Value: 60},
 	}
-	chDets := []Determinant{
-		{Kind: KindEpoch, Epoch: 2},
-		{Kind: KindBufferSize, Value: 100},
-		{Kind: KindBufferSize, Value: 60},
-	}
-	st.Ingest(origin, 1, MainLogKey, 10, main)
-	st.Ingest(origin, 1, ChannelLogKey(ch), 4, chDets)
+	st.Ingest(origin, 1, 10, main)
 
 	ex, ok := st.Extract(origin, 2)
 	if !ok {
 		t.Fatal("extract failed")
 	}
-	if ex.MainStart != 10 || len(ex.Main) != 3 {
-		t.Fatalf("main start=%d len=%d", ex.MainStart, len(ex.Main))
-	}
-	if ex.ChannelStarts[ch] != 4 || len(ex.Channels[ch]) != 3 {
-		t.Fatalf("channel start=%d len=%d", ex.ChannelStarts[ch], len(ex.Channels[ch]))
+	if ex.MainStart != 10 || !equalRuns(ex.Main, main) {
+		t.Fatalf("main start=%d entries=%v", ex.MainStart, ex.Main)
 	}
 	if _, ok := st.Extract(origin, 7); ok {
 		t.Fatal("extract for unknown epoch succeeded")
@@ -286,7 +248,7 @@ func TestStoreIngestExtract(t *testing.T) {
 func TestStoreTruncate(t *testing.T) {
 	st := NewStore()
 	origin := task(1, 0)
-	st.Ingest(origin, 1, MainLogKey, 0, []Determinant{
+	st.Ingest(origin, 1, 0, []Determinant{
 		{Kind: KindEpoch, Epoch: 1},
 		{Kind: KindOrder, Channel: 0},
 		{Kind: KindEpoch, Epoch: 2},
@@ -306,21 +268,8 @@ func TestStoreTruncate(t *testing.T) {
 
 func TestDeltaRoundTrip(t *testing.T) {
 	sets := []ForwardSet{
-		{
-			Origin: task(1, 2),
-			Hops:   1,
-			Logs: map[LogKey]Run{
-				MainLogKey:                   {Start: 5, Ents: sampleDeterminants()},
-				ChannelLogKey(chid(3, 2, 0)): {Start: 0, Ents: []Determinant{{Kind: KindBufferSize, Value: 9}}},
-			},
-		},
-		{
-			Origin: task(0, 1),
-			Hops:   2,
-			Logs: map[LogKey]Run{
-				MainLogKey: {Start: 77, Ents: []Determinant{{Kind: KindOrder, Channel: 1}}},
-			},
-		},
+		{Origin: task(1, 2), Hops: 1, Run: Run{Start: 5, Ents: sampleDeterminants()}},
+		{Origin: task(0, 1), Hops: 2, Run: Run{Start: 77, Ents: []Determinant{{Kind: KindOrder, Channel: 1}}}},
 	}
 	b := EncodeDelta(nil, sets)
 	got, err := DecodeDelta(b)
@@ -331,22 +280,11 @@ func TestDeltaRoundTrip(t *testing.T) {
 		t.Fatalf("decoded %d sets", len(got))
 	}
 	for i := range sets {
-		if got[i].Origin != sets[i].Origin || got[i].Hops != sets[i].Hops {
+		if got[i].Origin != sets[i].Origin || got[i].Hops != sets[i].Hops || got[i].Start != sets[i].Start {
 			t.Fatalf("set %d header mismatch: %+v", i, got[i])
 		}
-		if !reflect.DeepEqual(len(got[i].Logs), len(sets[i].Logs)) {
-			t.Fatalf("set %d log count mismatch", i)
-		}
-		for key, run := range sets[i].Logs {
-			gotRun, ok := got[i].Logs[key]
-			if !ok || gotRun.Start != run.Start || len(gotRun.Ents) != len(run.Ents) {
-				t.Fatalf("set %d log %v mismatch", i, key)
-			}
-			for j := range run.Ents {
-				if !gotRun.Ents[j].Equal(run.Ents[j]) {
-					t.Fatalf("set %d log %v ent %d mismatch", i, key, j)
-				}
-			}
+		if !equalRuns(got[i].Ents, sets[i].Ents) {
+			t.Fatalf("set %d entries %v, want %v", i, got[i].Ents, sets[i].Ents)
 		}
 	}
 }
@@ -355,7 +293,7 @@ func TestDecodeDeltaErrors(t *testing.T) {
 	if _, err := DecodeDelta([]byte{}); err == nil {
 		t.Fatal("decoded empty delta")
 	}
-	sets := []ForwardSet{{Origin: task(1, 0), Hops: 1, Logs: map[LogKey]Run{MainLogKey: {Start: 0, Ents: sampleDeterminants()}}}}
+	sets := []ForwardSet{{Origin: task(1, 0), Hops: 1, Run: Run{Start: 0, Ents: sampleDeterminants()}}}
 	b := EncodeDelta(nil, sets)
 	if _, err := DecodeDelta(b[:len(b)/2]); err == nil {
 		t.Fatal("decoded truncated delta")
@@ -381,8 +319,8 @@ func TestManagerDeltaCursorsAdvance(t *testing.T) {
 	if len(sets) != 1 || sets[0].Origin != task(1, 0) || sets[0].Hops != 1 {
 		t.Fatalf("sets = %+v", sets)
 	}
-	if len(sets[0].Logs[MainLogKey].Ents) != 3 {
-		t.Fatalf("main delta = %d entries, want 3", len(sets[0].Logs[MainLogKey].Ents))
+	if len(sets[0].Ents) != 4 { // EPOCH, ORDER, TS, BS
+		t.Fatalf("delta = %d entries, want 4", len(sets[0].Ents))
 	}
 	// No new determinants: delta is nil.
 	if d2 := m.DeltaFor(down); d2 != nil {
@@ -394,8 +332,7 @@ func TestManagerDeltaCursorsAdvance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := sets[0].Logs[MainLogKey]
-	if len(run.Ents) != 1 || run.Start != 3 {
+	if run := sets[0].Run; len(run.Ents) != 1 || run.Start != 4 {
 		t.Fatalf("incremental delta = %+v", run)
 	}
 }
@@ -465,29 +402,32 @@ func TestManagerTruncate(t *testing.T) {
 	down := chid(2, 0, 0)
 	m.StartEpochMain(1)
 	m.AppendOrder(0)
-	m.StartEpochChannel(down, 1)
 	m.AppendBufferSize(down, 10)
 	m.StartEpochMain(2)
-	m.StartEpochChannel(down, 2)
 	m.AppendOrder(1)
+	m.AppendBufferSize(down, 20)
 	m.Truncate(1)
-	if m.Main().Len() != 2 { // EPOCH 2 + ORDER
-		t.Fatalf("main len = %d, want 2", m.Main().Len())
+	if m.Main().Len() != 3 { // EPOCH 2 + ORDER + BS
+		t.Fatalf("log len = %d, want 3", m.Main().Len())
 	}
-	if m.Channel(down).Len() != 1 { // EPOCH 2
-		t.Fatalf("channel len = %d, want 1", m.Channel(down).Len())
+	if n := m.SizeEntries(); n != 3 {
+		t.Fatalf("retained %d entries, want the log's 3", n)
 	}
 }
 
 func TestManagerSeedForRecovery(t *testing.T) {
 	m := NewManager(task(1, 0), 1)
 	ch := chid(2, 0, 0)
-	m.SeedForRecovery(50, map[types.ChannelID]uint64{ch: 7})
+	m.SeedForRecovery(50)
 	if idx := m.Main().Append(Determinant{Kind: KindOrder}); idx != 50 {
-		t.Fatalf("main re-based at %d, want 50", idx)
+		t.Fatalf("log re-based at %d, want 50", idx)
 	}
-	if idx := m.Channel(ch).Append(Determinant{Kind: KindBufferSize, Value: 1}); idx != 7 {
-		t.Fatalf("channel re-based at %d, want 7", idx)
+	// A buffer's size follows the entries before it in the one log.
+	m.AppendBufferSize(ch, 1)
+	sets, err := DecodeDelta(m.DeltaFor(ch))
+	if err != nil || len(sets) != 1 || sets[0].Start != 50 || len(sets[0].Ents) != 2 ||
+		!sets[0].Ents[1].Equal(Determinant{Kind: KindBufferSize, Output: ch, Value: 1}) {
+		t.Fatalf("delta after re-basing = %+v, %v", sets, err)
 	}
 }
 
@@ -530,7 +470,7 @@ func TestDeltaForExternal(t *testing.T) {
 	if len(sets) != 1 || sets[0].Origin != task(2, 0) {
 		t.Fatalf("sets = %+v", sets)
 	}
-	if got := len(sets[0].Logs[MainLogKey].Ents); got != 2 { // EPOCH + TS
+	if got := len(sets[0].Ents); got != 2 { // EPOCH + TS
 		t.Fatalf("entries = %d", got)
 	}
 	// Incremental: nothing new -> nil.
@@ -543,14 +483,13 @@ func TestDeltaForExternal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := sets[0].Logs[MainLogKey]
-	if len(run.Ents) != 1 || run.Start != 2 {
+	if run := sets[0].Run; len(run.Ents) != 1 || run.Start != 2 {
 		t.Fatalf("incremental run = %+v", run)
 	}
 	// Independent cursors per consumer.
 	d3 := m.DeltaForExternal("other")
 	sets, _ = DecodeDelta(d3)
-	if len(sets[0].Logs[MainLogKey].Ents) != 3 {
+	if len(sets[0].Ents) != 3 {
 		t.Fatal("second consumer did not get full log")
 	}
 	// Round trip into a store and extract for recovery.
@@ -561,9 +500,7 @@ func TestDeltaForExternal(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, fs := range ss {
-			for key, run := range fs.Logs {
-				st.Ingest(fs.Origin, fs.Hops, key, run.Start, run.Ents)
-			}
+			st.Ingest(fs.Origin, fs.Hops, fs.Start, fs.Ents)
 		}
 	}
 	ex, ok := st.Extract(task(2, 0), 1)
@@ -581,11 +518,12 @@ func TestDeltaForExternalDSDZero(t *testing.T) {
 }
 
 // TestQuickAlwaysNoOrphans checks Eq. 1/2 mechanically: whatever
-// interleaving of determinant appends and per-channel delta dispatches
-// occurs, every downstream replica can recover the origin's main log as a
+// interleaving of determinant appends and per-channel buffer dispatches
+// occurs, every downstream replica can recover the origin's log as a
 // contiguous prefix up to the last determinant it was shown — i.e. no
 // buffer ever makes a receiver depend on an event whose determinant it
-// does not hold.
+// does not hold, its own BUFFERSIZE and every other channel's before it
+// included.
 func TestQuickAlwaysNoOrphans(t *testing.T) {
 	f := func(ops []uint8) bool {
 		origin := task(0, 0)
@@ -603,20 +541,15 @@ func TestQuickAlwaysNoOrphans(t *testing.T) {
 				m.AppendOrder(int32(i % 3))
 			case 2, 3:
 				ch := int(op%4) - 2
-				delta := m.DeltaFor(chans[ch])
-				if delta == nil {
-					continue
-				}
-				sets, err := DecodeDelta(delta)
+				m.AppendBufferSize(chans[ch], i)
+				sets, err := DecodeDelta(m.DeltaFor(chans[ch]))
 				if err != nil {
 					return false
 				}
 				for _, fs := range sets {
-					for key, run := range fs.Logs {
-						stores[ch].Ingest(fs.Origin, fs.Hops, key, run.Start, run.Ents)
-						if key.Main && run.Start+uint64(len(run.Ents)) > shown[ch] {
-							shown[ch] = run.Start + uint64(len(run.Ents))
-						}
+					stores[ch].Ingest(fs.Origin, fs.Hops, fs.Start, fs.Ents)
+					if end := fs.Start + uint64(len(fs.Ents)); end > shown[ch] {
+						shown[ch] = end
 					}
 				}
 			}

@@ -1,11 +1,9 @@
 package causal
 
 import (
-	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"slices"
 
 	"clonos/internal/types"
 )
@@ -13,88 +11,39 @@ import (
 // Delta wire format, piggybacked on every network buffer (§4.3):
 //
 //	numSets uvarint
-//	per set:
+//	per set (one run of one origin task's log):
 //	  origin vertex varint | origin subtask varint | hops uvarint
-//	  numLogs uvarint
-//	  per log:
-//	    flag byte (1 = main, 0 = channel)
-//	    channel? edge varint | from varint | to varint
-//	    firstAbs uvarint | n uvarint | n determinants
+//	  firstAbs uvarint | n uvarint | n determinants
 //
-// Sets are ordered by origin with the sender's own set first; a set's
-// logs are ordered main first, then channels by (edge, from, to). The
-// counts precede what they count, so an encoder decides what to send
-// before writing any of it (Manager.DeltaFor), and deltaReader is the one
-// parser: Store.IngestDelta and DecodeDelta both iterate it.
+// A task keeps one log, so a set is one run. Sets are ordered by origin
+// with the sender's own set first. The count precedes what it counts, so
+// an encoder decides what to send before writing any of it
+// (Manager.DeltaFor), and deltaReader is the one parser: Store.IngestDelta
+// and DecodeDelta both iterate it.
 
-// LogKey identifies one log of a task: its main-thread log or the log of
-// one of its output channels.
-type LogKey struct {
-	Main    bool
-	Channel types.ChannelID
-}
-
-// MainLogKey is the key of a task's main-thread log.
-var MainLogKey = LogKey{Main: true}
-
-// ChannelLogKey returns the key of an output channel's log.
-func ChannelLogKey(id types.ChannelID) LogKey { return LogKey{Channel: id} }
-
-// compareKeys orders log keys as a set lists them on the wire.
-func compareKeys(a, b LogKey) int {
-	if a.Main != b.Main {
-		if a.Main {
-			return -1
-		}
-		return 1
-	}
-	x, y := a.Channel, b.Channel
-	return cmp.Or(cmp.Compare(x.Edge, y.Edge), cmp.Compare(x.From, y.From), cmp.Compare(x.To, y.To))
-}
-
-// insertSorted inserts v, whose sort key is key, into the sorted s. The
-// sets and logs of a delta are listed in orders kept this way as they are
-// created, so encoding never sorts.
-func insertSorted[T, K any](s []T, key K, v T, compare func(T, K) int) []T {
-	at, _ := slices.BinarySearchFunc(s, key, compare)
-	return slices.Insert(s, at, v)
-}
-
-func appendSetHeader(dst []byte, origin types.TaskID, hops, numLogs int) []byte {
+func appendSetHeader(dst []byte, origin types.TaskID, hops int) []byte {
 	dst = binary.AppendVarint(dst, int64(origin.Vertex))
 	dst = binary.AppendVarint(dst, int64(origin.Subtask))
-	dst = binary.AppendUvarint(dst, uint64(hops))
-	return binary.AppendUvarint(dst, uint64(numLogs))
-}
-
-func appendLogKey(dst []byte, key LogKey) []byte {
-	if key.Main {
-		return append(dst, 1)
-	}
-	dst = append(dst, 0)
-	dst = binary.AppendVarint(dst, int64(key.Channel.Edge))
-	dst = binary.AppendVarint(dst, int64(key.Channel.From))
-	return binary.AppendVarint(dst, int64(key.Channel.To))
+	return binary.AppendUvarint(dst, uint64(hops))
 }
 
 var errTruncated = errors.New("causal: truncated delta")
 
-// deltaReader iterates a delta in place: nextLog steps to the next log's
+// deltaReader iterates a delta in place: nextRun steps to the next set's
 // run and sets the header fields; next decodes that run's determinants one
-// at a time, and whatever the caller leaves undecoded nextLog steps over.
+// at a time, and whatever the caller leaves undecoded nextRun steps over.
 // The first error sticks, and everything after it reads as zero.
 type deltaReader struct {
 	b   []byte
 	i   int
 	err error
 
-	sets, logs uint64 // sets after the current one; logs left in it
-	left       uint64 // determinants of the current run not yet decoded
+	sets uint64 // sets after the current one
+	left uint64 // determinants of the current run not yet decoded
 
 	// Header of the current run.
 	origin types.TaskID
 	hops   int
-	key    LogKey
 	start  uint64
 	n      uint64
 
@@ -150,24 +99,16 @@ func readDelta(b []byte, slabHint int) deltaReader {
 	return r
 }
 
-// nextLog advances to the next log run, reporting false at the end of the
-// delta or on error.
-func (r *deltaReader) nextLog() bool {
+// nextRun advances to the next set's run, reporting false at the end of
+// the delta or on error.
+func (r *deltaReader) nextRun() bool {
 	r.skip(r.left)
-	for r.logs == 0 {
-		if r.sets == 0 || r.err != nil {
-			return false
-		}
-		r.sets--
-		r.origin = types.TaskID{Vertex: types.VertexID(r.varint()), Subtask: int32(r.varint())}
-		r.hops = int(r.uvarint())
-		r.logs = r.uvarint()
+	if r.sets == 0 || r.err != nil {
+		return false
 	}
-	r.logs--
-	r.key = MainLogKey
-	if r.byte() == 0 {
-		r.key = ChannelLogKey(types.ChannelID{Edge: types.EdgeID(r.varint()), From: int32(r.varint()), To: int32(r.varint())})
-	}
+	r.sets--
+	r.origin = types.TaskID{Vertex: types.VertexID(r.varint()), Subtask: int32(r.varint())}
+	r.hops = int(r.uvarint())
 	r.start, r.n = r.uvarint(), r.uvarint()
 	if r.start+r.n < r.start {
 		r.fail(fmt.Errorf("causal: delta run [%d, +%d) overflows the log index", r.start, r.n))
@@ -192,7 +133,10 @@ func (r *deltaReader) next(d *Determinant, keep bool) {
 		d.Key = r.uvarint()
 		d.When = r.varint()
 		d.Offset = r.uvarint()
-	case KindTimestamp, KindRNG, KindBufferSize:
+	case KindTimestamp, KindRNG:
+		d.Value = r.varint()
+	case KindBufferSize:
+		d.Output = types.ChannelID{Edge: types.EdgeID(r.varint()), From: int32(r.varint()), To: int32(r.varint())}
 		d.Value = r.varint()
 	case KindService:
 		d.ServiceID = uint16(r.uvarint())
@@ -238,7 +182,7 @@ func (r *deltaReader) carve(p []byte) []byte {
 // a corrupt delta is rejected before any of it reaches a replica.
 func checkDelta(b []byte) (payloadBytes int, err error) {
 	rd := readDelta(b, 0)
-	for rd.nextLog() {
+	for rd.nextRun() {
 	}
 	return rd.payloadBytes, rd.err
 }
@@ -249,11 +193,11 @@ type Run struct {
 	Ents  []Determinant
 }
 
-// ForwardSet is one origin task's logs as a delta carries them.
+// ForwardSet is one run of an origin task's log as a delta carries it.
 type ForwardSet struct {
 	Origin types.TaskID
 	Hops   int
-	Logs   map[LogKey]Run
+	Run
 }
 
 // DecodeDelta parses a delta into its sets: the inspectable form, for
@@ -266,17 +210,12 @@ func DecodeDelta(b []byte) ([]ForwardSet, error) {
 	}
 	var sets []ForwardSet
 	rd := readDelta(b, payloadBytes)
-	for open := ^uint64(0); rd.nextLog(); {
-		// rd.sets counts down as sets open: a change means a new one.
-		if rd.sets != open {
-			open = rd.sets
-			sets = append(sets, ForwardSet{Origin: rd.origin, Hops: rd.hops, Logs: make(map[LogKey]Run)})
-		}
+	for rd.nextRun() {
 		ents := make([]Determinant, rd.n)
 		for k := range ents {
 			rd.next(&ents[k], true)
 		}
-		sets[len(sets)-1].Logs[rd.key] = Run{Start: rd.start, Ents: ents}
+		sets = append(sets, ForwardSet{Origin: rd.origin, Hops: rd.hops, Run: Run{Start: rd.start, Ents: ents}})
 	}
 	return sets, rd.err
 }

@@ -1,6 +1,6 @@
 // Package causal implements causal logging for the streaming engine
 // (Clonos §3.3, §4.3): determinants describing every nondeterministic
-// event, per-thread causal logs segmented by epoch, log deltas piggybacked
+// event, one causal log per task segmented by epoch, log deltas piggybacked
 // on outgoing network buffers, a replicated store of upstream determinants
 // at each downstream task, and the determinant-sharing-depth (DSD)
 // forwarding rule.
@@ -39,8 +39,9 @@ const (
 	// this engine the checkpoint-trigger RPC delivered to sources —
 	// with the input offset at which it was handled.
 	KindRPC
-	// KindBufferSize records, in an output channel's own log, the size
-	// of a dispatched buffer (nondeterministic due to timed flushes).
+	// KindBufferSize records the output channel and size of a
+	// dispatched buffer (nondeterministic: an early cut depends on when
+	// the main thread ran out of input or its output grew too old).
 	KindBufferSize
 )
 
@@ -76,24 +77,25 @@ func (k Kind) String() string {
 //	RNG:        Value (seed)
 //	SERVICE:    ServiceID, Payload
 //	RPC:        Epoch (checkpoint id), Offset
-//	BUFFERSIZE: Value (bytes)
+//	BUFFERSIZE: Output, Value (bytes)
 type Determinant struct {
 	Kind      Kind
+	ServiceID uint16
 	Channel   int32
 	Handler   int32
+	Output    types.ChannelID
 	Key       uint64
 	When      int64
 	Offset    uint64
 	Value     int64
 	Epoch     types.EpochID
-	ServiceID uint16
 	Payload   []byte
 }
 
 // Equal reports deep equality, used by tests and replay assertions.
 func (d Determinant) Equal(o Determinant) bool {
 	if d.Kind != o.Kind || d.Channel != o.Channel || d.Handler != o.Handler ||
-		d.Key != o.Key || d.When != o.When || d.Offset != o.Offset ||
+		d.Output != o.Output || d.Key != o.Key || d.When != o.When || d.Offset != o.Offset ||
 		d.Value != o.Value || d.Epoch != o.Epoch || d.ServiceID != o.ServiceID {
 		return false
 	}
@@ -117,7 +119,7 @@ func (d Determinant) String() string {
 	case KindRPC:
 		return fmt.Sprintf("RPC chk=%d off=%d", d.Epoch, d.Offset)
 	case KindBufferSize:
-		return fmt.Sprintf("BS %d", d.Value)
+		return fmt.Sprintf("BS %v %d", d.Output, d.Value)
 	default:
 		return d.Kind.String()
 	}
@@ -136,7 +138,12 @@ func (d Determinant) Append(dst []byte) []byte {
 		dst = binary.AppendUvarint(dst, d.Key)
 		dst = binary.AppendVarint(dst, d.When)
 		dst = binary.AppendUvarint(dst, d.Offset)
-	case KindTimestamp, KindRNG, KindBufferSize:
+	case KindTimestamp, KindRNG:
+		dst = binary.AppendVarint(dst, d.Value)
+	case KindBufferSize:
+		dst = binary.AppendVarint(dst, int64(d.Output.Edge))
+		dst = binary.AppendVarint(dst, int64(d.Output.From))
+		dst = binary.AppendVarint(dst, int64(d.Output.To))
 		dst = binary.AppendVarint(dst, d.Value)
 	case KindService:
 		dst = binary.AppendUvarint(dst, uint64(d.ServiceID))

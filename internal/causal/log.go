@@ -9,7 +9,7 @@ import (
 
 // run is one contiguous, append-only stretch of a determinant log with
 // absolute indexing and an index of its EPOCH markers: the storage behind
-// both a task's own Logs and the segments of a replicaLog. Appending is
+// both a task's own Log and the segments of a replicaLog. Appending is
 // amortized O(1) and truncating is O(1): the cut only advances off, and
 // the live part slides back to the front of buf once the dead prefix has
 // outgrown it, so a log in steady state stops allocating. Slices returned
@@ -77,7 +77,7 @@ func (r *run) appendSince(dst []byte, abs uint64) ([]byte, int) {
 }
 
 // Log is one append-only determinant log with absolute indexing. Each task
-// keeps one Log for its main thread and one per output channel (§4.3).
+// keeps one, written by its main thread (§4.3).
 // Entries carry absolute indices that survive truncation, so per-consumer
 // sharing cursors and replicated copies stay consistent.
 type Log struct {

@@ -10,7 +10,7 @@ import (
 
 // ManagerMetrics instruments a task's causal subsystem. All fields are
 // optional (nil-safe): Appended counts determinants appended to the
-// task's own logs, Extractions counts successful replica extractions
+// task's own log, Extractions counts successful replica extractions
 // performed during a downstream peer's recovery, DeltaEntries and
 // DeltaBytes count determinants shared in piggybacked deltas and the
 // encoded bytes they cost on the wire. Comparing DeltaBytes against
@@ -23,59 +23,42 @@ type ManagerMetrics struct {
 	DeltaBytes   *obs.Counter
 }
 
-// Manager is one task's causal-logging subsystem: its own main-thread log,
-// one log per output channel, the replicated store of upstream logs, and
-// the per-downstream-channel sharing cursors that make each buffer's
-// piggybacked delta carry exactly the entries the receiver has not seen.
+// Manager is one task's causal-logging subsystem: its own log, the
+// replicated store of upstream logs, and the per-downstream-channel
+// sharing cursors that make each buffer's piggybacked delta carry exactly
+// the entries the receiver has not seen.
 type Manager struct {
 	self types.TaskID
 	dsd  int
 
 	mu       sync.Mutex
 	main     *Log
-	channels map[types.ChannelID]*Log
-	// own lists the task's logs as its set of a delta does: the main
-	// log, then the channel logs by key — fixed as each log is created.
-	own      []ownLog
 	replicas *Store
 	// cursors[downstreamChannel] tracks what has been shared on that
-	// channel: the next absolute index of each own and replica log.
+	// channel: the next absolute index of the own log and of each replica.
 	cursors map[types.ChannelID]*cursorSet
 	// externalCursors track sharing with external output systems (§5.5
-	// exactly-once output): sink tasks piggyback their main-log deltas
-	// on records written to e.g. Kafka.
+	// exactly-once output): sink tasks piggyback their log deltas on
+	// records written to e.g. Kafka.
 	externalCursors map[string]uint64
-	// encScratch is the reused delta-encode buffer and unsent the reused
-	// list of what the delta under construction will carry (both guarded
-	// by mu). Deltas are encoded into the scratch first, then copied out
-	// right-sized: the returned slice is retained by in-flight log
-	// entries and aliased by wire messages, so it must be private, but
-	// the growth churn of building it from nil is amortized away.
+	// encScratch is the reused delta-encode buffer and forward the reused
+	// list of the replicas the delta under construction will forward
+	// (both guarded by mu). Deltas are encoded into the scratch first,
+	// then copied out right-sized: the returned slice is retained by
+	// in-flight log entries and aliased by wire messages, so it must be
+	// private, but the growth churn of building it from nil is amortized
+	// away.
 	encScratch []byte
-	unsent     []unsentLog
+	forward    []*Replica
 
 	appended     *obs.Counter
 	deltaEntries *obs.Counter
 	deltaBytes   *obs.Counter
 }
 
-type ownLog struct {
-	key LogKey
-	log *Log
-}
-
 type cursorSet struct {
-	own      map[*Log]uint64
-	replicas map[*replicaLog]uint64
-}
-
-// unsentLog is one log holding entries a delta's receiver has not been
-// sent: an own log, or a replica log (of rep) to forward from.
-type unsentLog struct {
-	key  LogKey
-	own  *Log
-	rep  *Replica
-	rlog *replicaLog
+	own      uint64
+	replicas map[*Replica]uint64
 }
 
 // NewManager creates the causal subsystem for task self with the given
@@ -83,7 +66,7 @@ type unsentLog struct {
 // (at-least-once mode, §5.4).
 func NewManager(self types.TaskID, dsd int) *Manager {
 	m := &Manager{self: self, dsd: dsd, replicas: NewStore()}
-	m.SeedForRecovery(0, nil) // a new task's logs start at index 0
+	m.SeedForRecovery(0) // a new task's log starts at index 0
 	return m
 }
 
@@ -99,13 +82,10 @@ func (m *Manager) Instrument(mx ManagerMetrics) {
 }
 
 // SizeEntries reports the total retained determinant count across the
-// task's own logs (main + channel) and its replica store.
+// task's own log and its replica store.
 func (m *Manager) SizeEntries() int {
 	m.mu.Lock()
-	n := 0
-	for _, l := range m.own {
-		n += l.log.Len()
-	}
+	n := m.main.Len()
 	m.mu.Unlock()
 	return n + m.replicas.SizeEntries()
 }
@@ -113,53 +93,27 @@ func (m *Manager) SizeEntries() int {
 // DSD returns the configured determinant sharing depth.
 func (m *Manager) DSD() int { return m.dsd }
 
-// Main returns the main-thread log.
+// Main returns the task's own log.
 func (m *Manager) Main() *Log { return m.main }
-
-// Channel returns (creating on first use) the log of one output channel.
-func (m *Manager) Channel(id types.ChannelID) *Log {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	l, ok := m.channels[id]
-	if !ok {
-		l = m.addChannelLocked(id, 0)
-	}
-	return l
-}
-
-func (m *Manager) addChannelLocked(id types.ChannelID, base uint64) *Log {
-	l := NewLogAt(base)
-	m.channels[id] = l
-	key := ChannelLogKey(id)
-	m.own = insertSorted(m.own, key, ownLog{key: key, log: l}, func(o ownLog, k LogKey) int {
-		return compareKeys(o.key, k)
-	})
-	return l
-}
 
 // Replicas returns the replicated upstream-log store.
 func (m *Manager) Replicas() *Store { return m.replicas }
 
-// SeedForRecovery re-bases the task's own logs at the absolute indices the
-// predecessor's logs had at the epoch start, so determinants re-appended
+// SeedForRecovery re-bases the task's own log at the absolute index the
+// predecessor's log had at the epoch start, so determinants re-appended
 // during causally guided replay land on identical positions and remain
 // idempotent at downstream replicas.
-func (m *Manager) SeedForRecovery(mainStart uint64, channelStarts map[types.ChannelID]uint64) {
+func (m *Manager) SeedForRecovery(mainStart uint64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.main = NewLogAt(mainStart)
-	m.own = []ownLog{{key: MainLogKey, log: m.main}}
-	m.channels = make(map[types.ChannelID]*Log)
-	for id, start := range channelStarts {
-		m.addChannelLocked(id, start)
-	}
 	// Conservatively forget sharing cursors: all retained entries are
 	// re-shared; replicas deduplicate by absolute index.
 	m.cursors = make(map[types.ChannelID]*cursorSet)
 	m.externalCursors = make(map[string]uint64)
 }
 
-// DeltaForExternal assembles the delta of the task's own main log for an
+// DeltaForExternal assembles the delta of the task's own log for an
 // external output system (§5.5): sink tasks attach it to outgoing records
 // so the output system can return the determinants during recovery. It
 // advances the named consumer's cursor and returns nil when nothing is
@@ -173,8 +127,7 @@ func (m *Manager) DeltaForExternal(consumer string) []byte {
 	if m.main.unsent(m.externalCursors[consumer]) == 0 {
 		return nil
 	}
-	dst := append(m.encScratch[:0], 1) // one set
-	dst = appendLogKey(appendSetHeader(dst, m.self, 1, 1), MainLogKey)
+	dst := appendSetHeader(append(m.encScratch[:0], 1), m.self, 1) // one set
 	dst, n, next := m.main.appendSince(dst, m.externalCursors[consumer])
 	m.externalCursors[consumer] = next
 	return m.finishDelta(dst, n)
@@ -203,68 +156,48 @@ func (m *Manager) DeltaFor(down types.ChannelID) []byte {
 	defer m.mu.Unlock()
 	cs, ok := m.cursors[down]
 	if !ok {
-		cs = &cursorSet{own: make(map[*Log]uint64), replicas: make(map[*replicaLog]uint64)}
+		cs = &cursorSet{replicas: make(map[*Replica]uint64)}
 		m.cursors[down] = cs
 	}
-	// The wire format counts sets and logs ahead of their contents, so
-	// first list what has something unsent. Own logs: main + every
-	// output-channel log (the paper replicates all of them to every
-	// downstream, §4.3).
-	todo := m.unsent[:0]
-	for _, o := range m.own {
-		if o.log.unsent(cs.own[o.log]) > 0 {
-			todo = append(todo, unsentLog{key: o.key, own: o.log})
-		}
-	}
-	sets := min(len(todo), 1)
+	// The wire format counts sets ahead of their contents, so first list
+	// what has something unsent: the own log, then (DSD > 1 only, Hops
+	// >= 1) the replicas to forward. The store stays locked until their
+	// entries are encoded.
+	own := m.main.unsent(cs.own) > 0
+	fwd := m.forward[:0]
 	if m.dsd > 1 {
-		// Replicas are only ever forwarded at DSD > 1 (Hops >= 1). The
-		// store stays locked until their entries are encoded.
 		m.replicas.mu.Lock()
 		defer m.replicas.mu.Unlock()
 		for _, rep := range m.replicas.order {
 			if rep.Hops >= m.dsd {
 				continue
 			}
-			before := len(todo)
-			for _, rl := range rep.order {
-				if run, _ := rl.since(cs.replicas[rl]); run != nil {
-					todo = append(todo, unsentLog{key: rl.key, rep: rep, rlog: rl})
-				}
-			}
-			if len(todo) > before {
-				sets++
+			if run, _ := rep.log.since(cs.replicas[rep]); run != nil {
+				fwd = append(fwd, rep)
 			}
 		}
 	}
-	m.unsent = todo
+	m.forward = fwd
+	sets := len(fwd)
+	if own {
+		sets++
+	}
 	if sets == 0 {
 		return nil
 	}
 
 	dst := binary.AppendUvarint(m.encScratch[:0], uint64(sets))
 	ents := 0
-	for i, u := range todo {
-		if i == 0 || u.rep != todo[i-1].rep {
-			logs := 1
-			for logs < len(todo)-i && todo[i+logs].rep == u.rep {
-				logs++
-			}
-			if u.rep == nil {
-				dst = appendSetHeader(dst, m.self, 1, logs)
-			} else {
-				dst = appendSetHeader(dst, u.rep.Origin, u.rep.Hops+1, logs)
-			}
-		}
-		dst = appendLogKey(dst, u.key)
+	if own {
 		var n int
-		if u.own != nil {
-			dst, n, cs.own[u.own] = u.own.appendSince(dst, cs.own[u.own])
-		} else {
-			run, from := u.rlog.since(cs.replicas[u.rlog])
-			dst, n = run.appendSince(dst, from)
-			cs.replicas[u.rlog] = run.end()
-		}
+		dst, n, cs.own = m.main.appendSince(appendSetHeader(dst, m.self, 1), cs.own)
+		ents += n
+	}
+	for _, rep := range fwd {
+		run, from := rep.log.since(cs.replicas[rep])
+		var n int
+		dst, n = run.appendSince(appendSetHeader(dst, rep.Origin, rep.Hops+1), from)
+		cs.replicas[rep] = run.end()
 		ents += n
 	}
 	return m.finishDelta(dst, ents)
@@ -281,26 +214,23 @@ func (m *Manager) Ingest(delta []byte) error {
 	return m.replicas.IngestDelta(delta)
 }
 
-// StartEpochMain appends the epoch marker to the main-thread log.
+// StartEpochMain appends the epoch marker to the task's log.
 func (m *Manager) StartEpochMain(e types.EpochID) { m.main.StartEpoch(e) }
 
 // StartEpochMainAt appends the epoch marker and returns its absolute
 // index, recorded in checkpoints as the standby's log seed position.
 func (m *Manager) StartEpochMainAt(e types.EpochID) uint64 { return m.main.StartEpoch(e) }
 
-// StartEpochChannel appends the epoch marker to one channel log; called
-// when the barrier is dispatched on that channel.
-func (m *Manager) StartEpochChannel(id types.ChannelID, e types.EpochID) {
-	m.Channel(id).StartEpoch(e)
-}
+// StartEpochChannel does nothing. A buffer's BUFFERSIZE determinant is
+// in the task's one log, whose epoch marker StartEpochMain appends; the
+// method stays for the benchmark's layer replay, which calls it.
+func (m *Manager) StartEpochChannel(types.ChannelID, types.EpochID) {}
 
 // Truncate drops all determinants of epochs <= upTo from the task's own
-// logs and its replicas, after checkpoint upTo completes.
+// log and its replicas, after checkpoint upTo completes.
 func (m *Manager) Truncate(upTo types.EpochID) {
 	m.mu.Lock()
-	for _, o := range m.own {
-		o.log.Truncate(upTo)
-	}
+	m.main.Truncate(upTo)
 	m.mu.Unlock()
 	m.replicas.Truncate(upTo)
 }
@@ -343,9 +273,9 @@ func (m *Manager) AppendRPC(checkpoint types.EpochID, offset uint64) {
 	m.appended.Inc()
 }
 
-// AppendBufferSize logs the size of a buffer dispatched on one channel,
-// in that channel's own log.
+// AppendBufferSize logs the size of a buffer dispatched on one output
+// channel, at the point the main thread dispatches it.
 func (m *Manager) AppendBufferSize(id types.ChannelID, size int) {
-	m.Channel(id).Append(Determinant{Kind: KindBufferSize, Value: int64(size)})
+	m.main.Append(Determinant{Kind: KindBufferSize, Output: id, Value: int64(size)})
 	m.appended.Inc()
 }

@@ -9,14 +9,13 @@ import (
 	"clonos/internal/types"
 )
 
-// replicaLog is a task's copy of one log of an upstream origin. In the
-// common case it is a single run that every received delta extends in
+// replicaLog is a task's copy of an upstream origin's log. In the common
+// case it is a single run that every received delta extends in
 // place. Diamond topologies with DSD > 1 can deliver overlapping or
 // out-of-order ranges of the same origin log along different paths, so in
 // general it is a sorted set of disjoint, non-adjacent runs, and a range
 // that does not start inside or at the end of the newest run is merged in.
 type replicaLog struct {
-	key LogKey
 	// floor is the last truncation cut. Entries below it belong to
 	// completed epochs and are not taken in again (a recovered sender
 	// re-shares everything it retains).
@@ -188,28 +187,23 @@ func (r *replicaLog) size() int {
 	return n
 }
 
-// Replica is everything a task holds about one origin task's logs.
+// Replica is everything a task holds about one origin task's log.
 type Replica struct {
 	Origin types.TaskID
 	// Hops is the distance from the origin to this holder (1 = direct
 	// downstream). Forwarding only continues while Hops < DSD.
 	Hops int
-	logs map[LogKey]*replicaLog
-	// order lists logs as a forwarded set does: main, then channels by key.
-	order []*replicaLog
+	log  replicaLog
 }
 
-// Extracted is the recovery view of an origin task's logs: the contiguous
-// determinant runs starting at the requested epoch's boundary marker.
+// Extracted is the recovery view of an origin task's log: the contiguous
+// determinant run starting at the requested epoch's boundary marker.
 type Extracted struct {
 	Origin types.TaskID
-	// Main holds the main-thread determinants from the epoch marker on;
-	// MainStart is the absolute index of the first entry.
+	// Main holds the determinants from the epoch marker on; MainStart is
+	// the absolute index of the first entry.
 	Main      []Determinant
 	MainStart uint64
-	// Channels holds each output-channel log from its epoch marker on.
-	Channels      map[types.ChannelID][]Determinant
-	ChannelStarts map[types.ChannelID]uint64
 }
 
 // Store is a task's replicated collection of upstream determinant logs.
@@ -237,37 +231,31 @@ func NewStore() *Store {
 	return &Store{byOrigin: make(map[types.TaskID]*Replica)}
 }
 
-// log returns (creating on first sight) the replica of one origin log.
-// hops is the distance from the origin to this task.
-func (s *Store) log(origin types.TaskID, hops int, key LogKey) *replicaLog {
+// log returns (creating on first sight) the replica of one origin's log.
+// hops is the distance from the origin to this task. Replicas are kept in
+// origin order, the order forwarded sets take, so encoding never sorts.
+func (s *Store) log(origin types.TaskID, hops int) *replicaLog {
 	rep, ok := s.byOrigin[origin]
 	if !ok {
-		rep = &Replica{Origin: origin, Hops: hops, logs: make(map[LogKey]*replicaLog)}
+		rep = &Replica{Origin: origin, Hops: hops}
 		s.byOrigin[origin] = rep
-		s.order = insertSorted(s.order, origin, rep, func(r *Replica, o types.TaskID) int {
+		at, _ := slices.BinarySearchFunc(s.order, origin, func(r *Replica, o types.TaskID) int {
 			return cmp.Or(cmp.Compare(r.Origin.Vertex, o.Vertex), cmp.Compare(r.Origin.Subtask, o.Subtask))
 		})
+		s.order = slices.Insert(s.order, at, rep)
 	}
 	if hops < rep.Hops {
 		rep.Hops = hops
 	}
-	rl, ok := rep.logs[key]
-	if !ok {
-		rl = &replicaLog{key: key}
-		rep.logs[key] = rl
-		rep.order = insertSorted(rep.order, key, rl, func(l *replicaLog, k LogKey) int {
-			return compareKeys(l.key, k)
-		})
-	}
-	return rl
+	return &rep.log
 }
 
 // Ingest merges a received run of an origin task's log. hops is the
 // distance from the origin to this task.
-func (s *Store) Ingest(origin types.TaskID, hops int, key LogKey, first uint64, ents []Determinant) {
+func (s *Store) Ingest(origin types.TaskID, hops int, first uint64, ents []Determinant) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.log(origin, hops, key).insert(first, ents)
+	s.log(origin, hops).insert(first, ents)
 }
 
 // IngestDelta merges a received delta, decoding each run straight into
@@ -282,16 +270,16 @@ func (s *Store) IngestDelta(delta []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	rd := readDelta(delta, payloadBytes)
-	for rd.nextLog() {
-		s.log(rd.origin, rd.hops, rd.key).ingest(&rd)
+	for rd.nextRun() {
+		s.log(rd.origin, rd.hops).ingest(&rd)
 	}
 	return rd.err
 }
 
 // Extract builds the recovery view for an origin task from the requested
 // epoch. It reports false if no EPOCH marker for that epoch is retained
-// in the origin's main log — the caller may then escalate to a global
-// rollback (§5.3, DSD < D orphan case).
+// in the origin's log — the caller may then escalate to a global rollback
+// (§5.3, DSD < D orphan case).
 func (s *Store) Extract(origin types.TaskID, fromEpoch types.EpochID) (Extracted, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -299,34 +287,16 @@ func (s *Store) Extract(origin types.TaskID, fromEpoch types.EpochID) (Extracted
 	if !ok {
 		return Extracted{}, false
 	}
-	ex := Extracted{
-		Origin:        origin,
-		Channels:      make(map[types.ChannelID][]Determinant),
-		ChannelStarts: make(map[types.ChannelID]uint64),
-	}
-	main, ok := rep.logs[MainLogKey]
+	start, ok := rep.log.epochStart(fromEpoch)
 	if !ok {
 		return Extracted{}, false
-	}
-	start, ok := main.epochStart(fromEpoch)
-	if !ok {
-		return Extracted{}, false
-	}
-	ex.MainStart = start
-	ex.Main = append([]Determinant(nil), main.contiguousFrom(start)...)
-	for key, rl := range rep.logs {
-		if key.Main {
-			continue
-		}
-		cs, ok := rl.epochStart(fromEpoch)
-		if !ok {
-			continue
-		}
-		ex.Channels[key.Channel] = append([]Determinant(nil), rl.contiguousFrom(cs)...)
-		ex.ChannelStarts[key.Channel] = cs
 	}
 	s.extractions.Inc()
-	return ex, true
+	return Extracted{
+		Origin:    origin,
+		Main:      append([]Determinant(nil), rep.log.contiguousFrom(start)...),
+		MainStart: start,
+	}, true
 }
 
 // Truncate drops determinants of epochs <= upTo from every replica.
@@ -334,9 +304,7 @@ func (s *Store) Truncate(upTo types.EpochID) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, rep := range s.byOrigin {
-		for _, rl := range rep.logs {
-			rl.truncate(upTo)
-		}
+		rep.log.truncate(upTo)
 	}
 }
 
@@ -347,9 +315,7 @@ func (s *Store) SizeEntries() int {
 	defer s.mu.Unlock()
 	n := 0
 	for _, rep := range s.byOrigin {
-		for _, rl := range rep.logs {
-			n += rl.size()
-		}
+		n += rep.log.size()
 	}
 	return n
 }

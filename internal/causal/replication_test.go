@@ -107,16 +107,18 @@ func originLog(rng *rand.Rand, n, epochLen int) []Determinant {
 			full[i] = Determinant{Kind: kind, ServiceID: uint16(i), Payload: []byte(fmt.Sprint("payload-", i))}
 		case kind == KindRPC:
 			full[i] = Determinant{Kind: kind, Epoch: types.EpochID(1000 + i), Offset: uint64(i)}
-		default: // TS, RNG, BUFFERSIZE
+		case kind == KindBufferSize:
+			full[i] = Determinant{Kind: kind, Output: types.ChannelID{Edge: 1, To: int32(i % 3)}, Value: v}
+		default: // TS, RNG
 			full[i] = Determinant{Kind: kind, Value: v}
 		}
 	}
 	return full
 }
 
-// runDelta encodes one run of one origin log the way a delta carries it.
-func runDelta(origin types.TaskID, key LogKey, start uint64, ents []Determinant) []byte {
-	return EncodeDelta(nil, []ForwardSet{{Origin: origin, Hops: 1, Logs: map[LogKey]Run{key: {Start: start, Ents: ents}}}})
+// runDelta encodes one run of an origin's log the way a delta carries it.
+func runDelta(origin types.TaskID, start uint64, ents []Determinant) []byte {
+	return EncodeDelta(nil, []ForwardSet{{Origin: origin, Hops: 1, Run: Run{Start: start, Ents: ents}}})
 }
 
 // TestReplicaLogMatchesModel drives a replica log with random schedules of
@@ -125,12 +127,12 @@ func runDelta(origin types.TaskID, key LogKey, start uint64, ents []Determinant)
 // truncations, and holds it to the naive model after every step.
 func TestReplicaLogMatchesModel(t *testing.T) {
 	const n, epochLen = 240, 30
-	origin, key := task(1, 0), MainLogKey
+	origin := task(1, 0)
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		full := originLog(rng, n, epochLen)
 		st := NewStore()
-		rl := st.log(origin, 1, key)
+		rl := st.log(origin, 1)
 		model := &modelLog{ents: make(map[uint64]Determinant)}
 		for step := 0; step < 150; step++ {
 			var what string
@@ -164,8 +166,8 @@ func TestReplicaLogMatchesModel(t *testing.T) {
 				what = fmt.Sprintf("%s [%d,%d)", what, a, b)
 				model.insert(uint64(a), full[a:b])
 				if rng.Intn(2) == 0 {
-					st.Ingest(origin, 1, key, uint64(a), full[a:b])
-				} else if err := st.IngestDelta(runDelta(origin, key, uint64(a), full[a:b])); err != nil {
+					st.Ingest(origin, 1, uint64(a), full[a:b])
+				} else if err := st.IngestDelta(runDelta(origin, uint64(a), full[a:b])); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -199,35 +201,29 @@ func TestReplicaLogMatchesModel(t *testing.T) {
 }
 
 // storesEqual compares what two stores retain for an origin's log.
-func storesEqual(t *testing.T, a, b *Store, origin types.TaskID, key LogKey) {
+func storesEqual(t *testing.T, a, b *Store, origin types.TaskID) {
 	t.Helper()
-	la, lb := a.byOrigin[origin].logs[key], b.byOrigin[origin].logs[key]
+	la, lb := &a.byOrigin[origin].log, &b.byOrigin[origin].log
 	if la.end() != lb.end() || len(la.segs) != len(lb.segs) {
-		t.Fatalf("%v %v: end %d vs %d, %d vs %d runs", origin, key, la.end(), lb.end(), len(la.segs), len(lb.segs))
+		t.Fatalf("%v: end %d vs %d, %d vs %d runs", origin, la.end(), lb.end(), len(la.segs), len(lb.segs))
 	}
 	for i := range la.segs {
 		if la.segs[i].base != lb.segs[i].base || !equalRuns(la.segs[i].from(la.segs[i].base), lb.segs[i].from(lb.segs[i].base)) {
-			t.Fatalf("%v %v: run %d differs", origin, key, i)
+			t.Fatalf("%v: run %d differs", origin, i)
 		}
 	}
 }
 
 // TestIngestDeltaMatchesDecode checks the streaming ingest against the
-// decode-then-insert reference on a delta holding every determinant kind,
-// several origins and channel logs, and that a malformed delta — every
+// decode-then-insert reference on a delta holding every determinant kind
+// and several origins, and that a malformed delta — every
 // strict prefix, and random byte damage — is refused whole: an error, no
 // panic, nothing ingested.
 func TestIngestDeltaMatchesDecode(t *testing.T) {
 	a, b := task(0, 1), task(1, 2)
-	ch := ChannelLogKey(chid(3, 2, 0))
 	sets := []ForwardSet{
-		{Origin: b, Hops: 1, Logs: map[LogKey]Run{
-			MainLogKey: {Start: 5, Ents: sampleDeterminants()},
-			ch:         {Start: 0, Ents: []Determinant{{Kind: KindEpoch, Epoch: 1}, {Kind: KindBufferSize, Value: 9}}},
-		}},
-		{Origin: a, Hops: 2, Logs: map[LogKey]Run{
-			MainLogKey: {Start: 77, Ents: []Determinant{{Kind: KindService, ServiceID: 1, Payload: []byte("xyz")}, {Kind: KindService, ServiceID: 2}}},
-		}},
+		{Origin: b, Hops: 1, Run: Run{Start: 5, Ents: sampleDeterminants()}},
+		{Origin: a, Hops: 2, Run: Run{Start: 77, Ents: []Determinant{{Kind: KindService, ServiceID: 1, Payload: []byte("xyz")}, {Kind: KindService, ServiceID: 2}}}},
 	}
 	delta := EncodeDelta(nil, sets)
 
@@ -240,14 +236,10 @@ func TestIngestDeltaMatchesDecode(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, fs := range got {
-		for key, run := range fs.Logs {
-			decoded.Ingest(fs.Origin, fs.Hops, key, run.Start, run.Ents)
-		}
+		decoded.Ingest(fs.Origin, fs.Hops, fs.Start, fs.Ents)
 	}
 	for _, fs := range sets {
-		for key := range fs.Logs {
-			storesEqual(t, streamed, decoded, fs.Origin, key)
-		}
+		storesEqual(t, streamed, decoded, fs.Origin)
 	}
 	if ha, hb := streamed.byOrigin[a].Hops, streamed.byOrigin[b].Hops; ha != 2 || hb != 1 {
 		t.Fatalf("hops = %d and %d, want 2 and 1", ha, hb)
@@ -257,9 +249,7 @@ func TestIngestDeltaMatchesDecode(t *testing.T) {
 		delta[i] = 0xff
 	}
 	for _, fs := range sets {
-		for key := range fs.Logs {
-			storesEqual(t, streamed, decoded, fs.Origin, key)
-		}
+		storesEqual(t, streamed, decoded, fs.Origin)
 	}
 
 	delta = EncodeDelta(nil, sets)
@@ -291,7 +281,7 @@ func TestIngestDeltaMatchesDecode(t *testing.T) {
 		refused(bad, fmt.Sprint("damage ", i))
 	}
 	// A count far beyond what the bytes can hold must not be believed.
-	huge := EncodeDelta(nil, []ForwardSet{{Origin: a, Hops: 1, Logs: map[LogKey]Run{MainLogKey: {Start: 1 << 62}}}})
+	huge := EncodeDelta(nil, []ForwardSet{{Origin: a, Hops: 1, Run: Run{Start: 1 << 62}}})
 	huge[len(huge)-1] = 0xff // n: 0 -> an unterminated varint
 	refused(huge, "unterminated count")
 	huge = append(huge[:len(huge)-1], 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f) // n = 2^63-1
@@ -302,28 +292,26 @@ func TestIngestDeltaMatchesDecode(t *testing.T) {
 }
 
 // TestDeltaForWireFormat holds the direct encoder to the reference one:
-// own set first, forwarded sets by origin, logs main-first then by
-// channel, every count exact — with several channel logs and, at DSD 2,
+// own set first, forwarded sets by origin, one run per set, every count
+// exact — with buffers dispatched on several output channels, whose
+// BUFFERSIZE entries sit in the one log in dispatch order, and, at DSD 2,
 // several forwarded origins.
 func TestDeltaForWireFormat(t *testing.T) {
-	up0, up1, mid := task(0, 0), task(0, 1), task(1, 0)
-	// Channel ids chosen so creation order differs from wire order.
-	outs := []types.ChannelID{chid(2, 0, 1), chid(2, 0, 0), chid(1, 0, 5)}
+	up0, up1, mid := task(0, 0), task(0, 1), task(1, 2)
+	outs := []types.ChannelID{chid(2, 2, 1), chid(2, 2, 0), chid(1, 2, 5)}
 	m := NewManager(mid, 2)
 	for i, origin := range []types.TaskID{up1, up0} {
 		u := NewManager(origin, 2)
 		u.StartEpochMain(1)
 		u.AppendService(7, []byte("resp"))
-		u.StartEpochChannel(chid(0, int32(1-i), 0), 1)
-		u.AppendBufferSize(chid(0, int32(1-i), 0), 100+i)
-		if err := m.Ingest(u.DeltaFor(chid(0, int32(1-i), 0))); err != nil {
+		u.AppendBufferSize(chid(0, int32(1-i), 2), 100+i)
+		if err := m.Ingest(u.DeltaFor(chid(0, int32(1-i), 2))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	m.StartEpochMain(1)
 	m.AppendOrder(1)
 	for _, id := range outs {
-		m.StartEpochChannel(id, 1)
 		m.AppendBufferSize(id, 512)
 	}
 	delta := m.DeltaFor(outs[0])
@@ -334,8 +322,13 @@ func TestDeltaForWireFormat(t *testing.T) {
 	if len(sets) != 3 || sets[0].Origin != mid || sets[1].Origin != up0 || sets[2].Origin != up1 {
 		t.Fatalf("sets = %+v", sets)
 	}
-	if sets[0].Hops != 1 || sets[1].Hops != 2 || len(sets[0].Logs) != 4 || len(sets[1].Logs) != 2 {
+	if sets[0].Hops != 1 || sets[1].Hops != 2 || len(sets[0].Ents) != 5 || len(sets[1].Ents) != 3 {
 		t.Fatalf("sets = %+v", sets)
+	}
+	for i, id := range outs {
+		if d := sets[0].Ents[2+i]; !d.Equal(Determinant{Kind: KindBufferSize, Output: id, Value: 512}) {
+			t.Fatalf("entry %d = %v, want the BUFFERSIZE of %v", 2+i, d, id)
+		}
 	}
 	if want := EncodeDelta(nil, sets); !bytes.Equal(delta, want) {
 		t.Fatalf("DeltaFor wrote\n%x\nreference encoder\n%x", delta, want)
@@ -343,7 +336,7 @@ func TestDeltaForWireFormat(t *testing.T) {
 	// The second delta on the channel carries only what is new.
 	m.AppendOrder(0)
 	sets, err = DecodeDelta(m.DeltaFor(outs[0]))
-	if err != nil || len(sets) != 1 || len(sets[0].Logs) != 1 || sets[0].Logs[MainLogKey].Start != 2 {
+	if err != nil || len(sets) != 1 || sets[0].Start != 5 || len(sets[0].Ents) != 1 {
 		t.Fatalf("incremental delta = %+v, %v", sets, err)
 	}
 }
@@ -376,7 +369,7 @@ func TestForwardingSurvivesTruncationPastCursor(t *testing.T) {
 	if len(sets) != 1 || sets[0].Origin != a {
 		t.Fatalf("forwarded sets = %+v", sets)
 	}
-	run := sets[0].Logs[MainLogKey]
+	run := sets[0].Run
 	if run.Start != 3 || len(run.Ents) != 2 || run.Ents[0].Kind != KindEpoch || run.Ents[0].Epoch != 2 {
 		t.Fatalf("forwarded run = %+v, want [3,5) from the EPOCH 2 marker", run)
 	}
@@ -479,7 +472,6 @@ func TestDeltaForAllocations(t *testing.T) {
 		in, out := chid(0, 0, 0), chid(1, 0, 0)
 		up.StartEpochMain(1)
 		m.StartEpochMain(1)
-		m.StartEpochChannel(out, 1)
 		step := func() {
 			up.AppendTimestamp(1)
 			if err := m.Ingest(up.DeltaFor(in)); err != nil {

@@ -32,12 +32,10 @@ type TaskSnapshot struct {
 	// NextSeq is each output channel's next buffer sequence number, so
 	// a recovering task resumes channel numbering exactly.
 	NextSeq map[types.ChannelID]uint64
-	// MainLogBase is the absolute causal main-log index at the epoch
-	// boundary; a standby seeds its log here so re-appended determinants
-	// land on the predecessor's indices.
+	// MainLogBase is the absolute index of the task's causal log at the
+	// epoch boundary; a standby seeds its log here so re-appended
+	// determinants land on the predecessor's indices.
 	MainLogBase uint64
-	// ChannelLogBase is the same per output-channel log.
-	ChannelLogBase map[types.ChannelID]uint64
 	// ChanWms is each input channel's highest received watermark at the
 	// epoch boundary and CurWm the combined watermark already emitted.
 	// A replacement must seed watermark merging with both: the combined

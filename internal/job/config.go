@@ -102,7 +102,9 @@ type Config struct {
 	// buffers when it goes idle with every input delivered, which is
 	// normally much sooner; the bound covers a task that is never idle or
 	// waits on an input gone silent. Either cut is a nondeterministic
-	// buffer size, logged as a BUFFERSIZE determinant.
+	// buffer size, logged as a BUFFERSIZE determinant in the task's log
+	// where the main thread dispatches it; guided replay cuts where that
+	// log says, not by this bound.
 	BufferTimeout time.Duration
 	// InFlight configures spill behaviour.
 	InFlight inflight.Config

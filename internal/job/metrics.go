@@ -250,7 +250,7 @@ func (t *Task) registerGauges() {
 		})
 	}
 	if cm := t.causal; cm != nil {
-		reg.GaugeFunc("clonos_causal_log_entries", "Determinants retained across own logs and the replica store.", lbl,
+		reg.GaugeFunc("clonos_causal_log_entries", "Determinants retained in the own log and the replica store.", lbl,
 			func() float64 { return float64(cm.SizeEntries()) })
 		reg.GaugeFunc("clonos_causal_main_log_floor", "Absolute index of the oldest retained main-log determinant (checkpoint truncation floor).", lbl,
 			func() float64 { return float64(cm.Main().Base()) })

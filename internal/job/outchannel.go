@@ -106,10 +106,12 @@ func (oc *outChannel) wakeReplay() {
 }
 
 // dispatch receives a filled buffer from the writer (on the task's main
-// thread): stamp seq/epoch, log the BUFFERSIZE determinant, attach the causal
-// delta, append to the in-flight log (with the §6.1 buffer-pool
-// exchange), and transmit unless pending or deduplicated. dispatch owns
-// b's structural reference and must settle it on every path.
+// thread): stamp seq/epoch, log the BUFFERSIZE determinant in the task's
+// log (during guided replay, first consuming the predecessor's), attach
+// the causal delta, append to the in-flight log (with the §6.1
+// buffer-pool exchange), and transmit unless pending or deduplicated.
+// dispatch owns b's structural reference and must settle it on every
+// path.
 //
 //clonos:owns-transfer
 func (oc *outChannel) dispatch(b *buffer.Buffer) error {
@@ -123,6 +125,10 @@ func (oc *outChannel) dispatch(b *buffer.Buffer) error {
 	t := oc.task
 	t.metrics.bytesOut.Add(uint64(b.Len()))
 	if t.causal != nil {
+		if err := t.replayDispatch(oc.id, b.Len()); err != nil {
+			b.ReleaseTo(oc.outPool)
+			return err
+		}
 		t.causal.AppendBufferSize(oc.id, b.Len())
 		b.Delta = t.causal.DeltaFor(oc.id)
 	}
@@ -266,9 +272,6 @@ func (oc *outChannel) startEpoch(e types.EpochID) {
 	oc.mu.Unlock()
 	if oc.iflog != nil {
 		oc.iflog.StartEpoch(e)
-	}
-	if oc.task.causal != nil {
-		oc.task.causal.StartEpochChannel(oc.id, e)
 	}
 }
 

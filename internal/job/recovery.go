@@ -1,7 +1,9 @@
 package job
 
 import (
+	"errors"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"clonos/internal/causal"
@@ -11,6 +13,12 @@ import (
 	"clonos/internal/operator"
 	"clonos/internal/types"
 )
+
+// testAlterDeterminants, when set, rewrites the determinants the next
+// replacement is about to replay, once — the divergence-injection hook
+// the replay tests use to prove a log that re-execution cannot follow
+// fails the task. Never set outside tests.
+var testAlterDeterminants atomic.Pointer[func([]causal.Determinant)]
 
 // ExtractDeterminants serves a recovering task's determinant-log request
 // (§2.2 step 3) from this task's replicated store. Thread-safe.
@@ -36,7 +44,7 @@ func (t *Task) outChannelByID(id types.ChannelID) *outChannel {
 //
 //  1. activate the standby (or build a fresh replacement) with the latest
 //     completed checkpoint,
-//  2. retrieve the predecessor's determinant logs from surviving tasks
+//  2. retrieve the predecessor's determinant log from surviving tasks
 //     within DSD hops downstream,
 //  3. reconfigure the network (fresh input endpoints),
 //  4. configure sender-side deduplication from downstream endpoints,
@@ -60,6 +68,16 @@ func (r *Runtime) localRecover(failed types.TaskID) (escalate string) {
 	}
 	vertex := r.graph.Vertices[failed.Vertex]
 	old := r.tasks[failed]
+	if err, _ := old.lastErr.Load().(error); errors.Is(err, errReplayDiverged) {
+		// Re-execution left the predecessor's log: a replacement guided
+		// by the same log would fail the same way. Roll back globally.
+		r.mu.Unlock()
+		if sp := r.takeRecoverySpan(failed); sp != nil {
+			sp.SetAttr("aborted", "replay-diverged")
+			sp.End()
+		}
+		return "replay-diverged"
+	}
 	// Step 1: standby activation (preloaded state in HA mode).
 	var t *Task
 	var snap *checkpoint.TaskSnapshot
@@ -164,7 +182,7 @@ func (r *Runtime) localRecover(failed types.TaskID) (escalate string) {
 	// or writing there ourselves.
 	<-old.done
 
-	// Step 3: retrieve determinant logs from tasks within DSD hops.
+	// Step 3: retrieve the determinant log from tasks within DSD hops.
 	guided := false
 	if t.causal != nil {
 		merged := causal.NewStore()
@@ -195,12 +213,12 @@ func (r *Runtime) localRecover(failed types.TaskID) (escalate string) {
 			if !ok {
 				continue
 			}
-			merged.Ingest(failed, 1, causal.MainLogKey, ex.MainStart, ex.Main)
-			for ch, dets := range ex.Channels {
-				merged.Ingest(failed, 1, causal.ChannelLogKey(ch), ex.ChannelStarts[ch], dets)
-			}
+			merged.Ingest(failed, 1, ex.MainStart, ex.Main)
 		}
 		if ex, ok := merged.Extract(failed, t.epoch); ok {
+			if f := testAlterDeterminants.Swap(nil); f != nil {
+				(*f)(ex.Main)
+			}
 			t.setRecovery(ex)
 			guided = true
 		} else if r.dependantsExist(t, failed) {

@@ -1,9 +1,9 @@
 package job
 
 import (
+	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sync/atomic"
 	"time"
 
@@ -325,9 +325,6 @@ func newTask(env *Runtime, vertex *Vertex, subtask int32) *Task {
 				}
 			}
 			oc := newOutChannel(t, chID, outPool, log)
-			if t.causal != nil {
-				t.causal.StartEpochChannel(chID, 1)
-			}
 			oe.chans = append(oe.chans, oc)
 			t.allOut = append(t.allOut, oc)
 		}
@@ -446,7 +443,7 @@ func (t *Task) restore(snap *checkpoint.TaskSnapshot) error {
 	}
 	t.recomputeWmMin()
 	if t.causal != nil {
-		t.causal.SeedForRecovery(snap.MainLogBase, snap.ChannelLogBase)
+		t.causal.SeedForRecovery(snap.MainLogBase)
 		t.causal.StartEpochMain(t.epoch)
 	}
 	for _, oc := range t.allOut {
@@ -455,9 +452,6 @@ func (t *Task) restore(snap *checkpoint.TaskSnapshot) error {
 			next = 1
 		}
 		oc.restore(next, t.epoch)
-		if t.causal != nil {
-			t.causal.StartEpochChannel(oc.id, t.epoch)
-		}
 	}
 	if len(snap.InFlight) > 0 {
 		chans, err := statestore.DecodeInFlight(snap.InFlight)
@@ -490,21 +484,14 @@ func (t *Task) restore(snap *checkpoint.TaskSnapshot) error {
 	return nil
 }
 
-// setRecovery installs the recovered determinants for causally guided
-// replay: the main-thread cursor and each output channel's buffer cuts.
+// setRecovery installs the recovered determinants as the cursor of
+// causally guided replay.
 func (t *Task) setRecovery(ex causal.Extracted) {
 	if len(ex.Main) > 0 {
 		t.replay = &replayCursor{dets: ex.Main}
 	}
 	t.replayTotalShadow.Store(int64(len(ex.Main)))
 	t.replayPosShadow.Store(0)
-	for _, oc := range t.allOut {
-		for _, d := range ex.Channels[oc.id] {
-			if d.Kind == causal.KindBufferSize {
-				oc.writer.PushCut(int(d.Value))
-			}
-		}
-	}
 }
 
 // start launches the task's main thread.
@@ -688,13 +675,63 @@ func (t *Task) cutAtIdle() time.Duration {
 // for the end of a long input buffer. Each cut also carries the task's
 // determinants downstream (DESIGN.md "Buffer cuts"); checking every
 // eighth element instead brought the pinned double-failure schedule's
-// audit reports back (14 of 200 runs against 0 of 240).
+// audit reports back (14 of 200 runs against 0 of 240). During guided
+// replay the log, not the clock, says where to cut (replayCuts).
 //
 //clonos:mainthread
 func (t *Task) cutIfStale() {
-	if t.noteOutput() && time.Since(t.outSince) >= t.env.cfg.BufferTimeout {
+	if t.replay.hasNext() {
+		t.replayCuts()
+	} else if t.noteOutput() && time.Since(t.outSince) >= t.env.cfg.BufferTimeout {
 		t.cutOutputs()
 	}
+}
+
+// errReplayDiverged names a recovering task whose re-execution dispatched
+// a buffer its predecessor's log does not record.
+var errReplayDiverged = errors.New("guided replay diverged from the determinant log")
+
+// replayCuts takes the predecessor's early cuts at an element boundary of
+// guided replay. A BUFFERSIZE at the head of the log whose channel holds
+// exactly that many pending bytes is one: any later write to the channel
+// could only grow the buffer past the logged size, and no other dispatch
+// may come first. Live cuts wait until the log is exhausted.
+//
+//clonos:mainthread
+func (t *Task) replayCuts() {
+	for t.replay.hasNext() && !t.crashed.Load() {
+		d := t.replay.peek()
+		if d.Kind != causal.KindBufferSize {
+			return
+		}
+		oc := t.outChannelByID(d.Output)
+		if oc == nil || int64(oc.writer.PendingBytes()) != d.Value {
+			return
+		}
+		if err := oc.writer.Flush(); err != nil {
+			t.fail(err)
+			return
+		}
+	}
+}
+
+// replayDispatch consumes, during guided replay, the BUFFERSIZE that a
+// buffer dispatched on channel id must find at the head of the log: every
+// buffer is logged where the main thread dispatched it, so re-execution
+// reaches the same entry at the same point, or it has diverged.
+//
+//clonos:mainthread
+func (t *Task) replayDispatch(id types.ChannelID, size int) error {
+	if !t.replay.hasNext() {
+		return nil
+	}
+	want := causal.Determinant{Kind: causal.KindBufferSize, Output: id, Value: int64(size)}
+	if d := t.replay.peek(); !d.Equal(want) {
+		return fmt.Errorf("task %v: %w: dispatched %v, log has %v (pos %d/%d, offset %d, context %v)",
+			t.id, errReplayDiverged, want, d, t.replay.pos, len(t.replay.dets), t.offset, t.replay.window(3))
+	}
+	t.replay.pos++
+	return nil
 }
 
 // noteOutput reports whether output may be waiting in a partial buffer,
@@ -729,9 +766,8 @@ func (t *Task) allDelivered() bool {
 }
 
 // cutOutputs dispatches every output channel's partial buffer and starts
-// the next round. dispatch logs each cut as a BUFFERSIZE determinant;
-// while recorded cuts are pending the writer ignores the request, so a
-// recovering task's buffers are the ones its predecessor cut.
+// the next round. dispatch logs each cut as a BUFFERSIZE determinant in
+// the task's log, where guided replay finds it again (replayCuts).
 //
 //clonos:mainthread
 func (t *Task) cutOutputs() {
@@ -915,14 +951,20 @@ func (t *Task) runLive() {
 
 // runReplay re-executes the recovered epoch guided by the determinant log
 // (§5.2): ORDER determinants drive buffer consumption, TIMER/RPC
-// determinants re-fire asynchronous events at identical offsets, and
-// services replay TS/RNG/SERVICE results inline.
+// determinants re-fire asynchronous events at identical offsets, services
+// replay TS/RNG/SERVICE results inline, and each dispatch consumes its
+// BUFFERSIZE (replayDispatch, replayCuts). It runs until the log is
+// exhausted: every buffer the predecessor dispatched is in it, a source's
+// past its last other determinant too.
 //
 //clonos:mainthread
 func (t *Task) runReplay() {
 	for t.replay.hasNext() && !t.crashed.Load() {
 		t.replayPosShadow.Store(int64(t.replay.pos))
 		if t.crashPoint(faultinject.PointReplayStep) {
+			return
+		}
+		if t.replayCuts(); !t.replay.hasNext() || t.crashed.Load() {
 			return
 		}
 		d := t.replay.peek()
@@ -990,19 +1032,18 @@ func (t *Task) runReplay() {
 			if !t.emitNextSourceElement(true) {
 				return
 			}
+		case causal.KindBufferSize:
+			// Not an early cut here: a source's records log nothing, so it
+			// re-emits them until the buffer fills or the cut is due.
+			if t.vertex.Source == nil {
+				t.fail(fmt.Errorf("task %v: %w: %v at replay head between input buffers", t.id, errReplayDiverged, d))
+				return
+			}
+			if !t.emitNextSourceElement(true) {
+				return
+			}
 		default:
 			t.fail(fmt.Errorf("task %v: unexpected determinant %v at replay head", t.id, d))
-			return
-		}
-	}
-	// A source's records need no determinants, so what its predecessor
-	// delivered runs past the last logged event. Until every recorded cut
-	// is reproduced, stay in re-execution: a checkpoint trigger or timer
-	// served now would land in output the receivers already hold without
-	// it (and dedup would withhold it from them for good).
-	cutsPending := func(oc *outChannel) bool { return oc.writer.InRecovery() }
-	for t.vertex.Source != nil && slices.ContainsFunc(t.allOut, cutsPending) && !t.crashed.Load() {
-		if !t.emitNextSourceElement(true) {
 			return
 		}
 	}
@@ -1608,17 +1649,16 @@ func (t *Task) buildSnapshot(cp types.CheckpointID) *checkpoint.TaskSnapshot {
 		}
 	}
 	snap := &checkpoint.TaskSnapshot{
-		Checkpoint:     cp,
-		Task:           t.id,
-		State:          stateBytes,
-		StateIsDelta:   stateIsDelta,
-		Timers:         timerBytes,
-		NextSeq:        make(map[types.ChannelID]uint64, len(t.allOut)),
-		MainLogBase:    mainBase,
-		ChannelLogBase: make(map[types.ChannelID]uint64, len(t.allOut)),
-		ChanWms:        make(map[types.ChannelID]int64, len(t.inIDs)),
-		CurWm:          t.curWm,
-		Fingerprint:    fp,
+		Checkpoint:   cp,
+		Task:         t.id,
+		State:        stateBytes,
+		StateIsDelta: stateIsDelta,
+		Timers:       timerBytes,
+		NextSeq:      make(map[types.ChannelID]uint64, len(t.allOut)),
+		MainLogBase:  mainBase,
+		ChanWms:      make(map[types.ChannelID]int64, len(t.inIDs)),
+		CurWm:        t.curWm,
+		Fingerprint:  fp,
 	}
 	if len(t.pendingBatch) > 0 {
 		// A source snapshotting mid-batch: Poll already advanced the
@@ -1635,11 +1675,6 @@ func (t *Task) buildSnapshot(cp types.CheckpointID) *checkpoint.TaskSnapshot {
 		oc.mu.Lock()
 		snap.NextSeq[oc.id] = oc.nextSeq
 		oc.mu.Unlock()
-		if t.causal != nil {
-			if idx, ok := t.causal.Channel(oc.id).EpochStart(cp + 1); ok {
-				snap.ChannelLogBase[oc.id] = idx
-			}
-		}
 	}
 	t.epoch = cp + 1
 	t.offset = 0
@@ -1816,7 +1851,8 @@ func (t *Task) finishTask() {
 	}
 	t.broadcastElement(types.EndOfStream())
 	for _, oc := range t.allOut {
-		if err := oc.writer.ForceFlush(); err != nil {
+		if err := oc.writer.Flush(); err != nil {
+			t.fail(err)
 			break
 		}
 	}

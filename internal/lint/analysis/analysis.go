@@ -96,11 +96,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
 }
 
-// IsTestFile reports whether pos lies in a _test.go file of this pass.
-func (p *Pass) IsTestFile(pos token.Pos) bool {
-	return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")
-}
-
 // FileFor returns the pass file containing pos, or nil.
 func (p *Pass) FileFor(pos token.Pos) *ast.File {
 	for _, f := range p.Files {

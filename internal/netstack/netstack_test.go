@@ -1,6 +1,7 @@
 package netstack
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"time"
@@ -357,24 +358,31 @@ func TestWriterAndDeserializerRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWriterRecoveryCutsReproduceBuffers drives a writer the way guided
+// replay drives a task's writers: every dispatch must have the next
+// recorded size, and at each element boundary the writer is flushed when
+// it holds exactly the next recorded size — that is an early cut, since
+// any later write could only grow the buffer past it. The replayed buffers
+// are the recorded ones byte for byte, however the original run's
+// timing-dependent flushes fell.
 func TestWriterRecoveryCutsReproduceBuffers(t *testing.T) {
-	// First run: record the nondeterministic cut sizes.
 	pool := buffer.NewPool(8, 64)
-	var sizes []int
+	keep := func(out *[][]byte) func(*buffer.Buffer) error {
+		return func(b *buffer.Buffer) error {
+			*out = append(*out, append([]byte(nil), b.Data...))
+			pool.Put(b)
+			return nil
+		}
+	}
+	// First run: early flushes at timing-dependent element boundaries,
+	// full buffers in between (the records straddle buffer ends).
 	var original [][]byte
-	w := NewChannelWriter(pool, codec.Int64Codec{}, func(b *buffer.Buffer) error {
-		sizes = append(sizes, b.Len())
-		data := make([]byte, b.Len())
-		copy(data, b.Data)
-		original = append(original, data)
-		pool.Put(b)
-		return nil
-	})
-	for i := int64(0); i < 10; i++ {
+	w := NewChannelWriter(pool, codec.Int64Codec{}, keep(&original))
+	for i := int64(0); i < 40; i++ {
 		if err := w.WriteElement(types.Record(uint64(i), i, i)); err != nil {
 			t.Fatal(err)
 		}
-		if i == 3 { // a timing-dependent early flush
+		if i == 3 || i == 4 || i == 17 {
 			if err := w.Flush(); err != nil {
 				t.Fatal(err)
 			}
@@ -384,43 +392,32 @@ func TestWriterRecoveryCutsReproduceBuffers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Recovery run: replay the same elements with the recorded cuts.
+	// Recovery run: the same elements, cut by the recorded sizes alone.
 	var replayed [][]byte
+	dispatch := keep(&replayed)
 	w2 := NewChannelWriter(pool, codec.Int64Codec{}, func(b *buffer.Buffer) error {
-		data := make([]byte, b.Len())
-		copy(data, b.Data)
-		replayed = append(replayed, data)
-		pool.Put(b)
-		return nil
+		if k := len(replayed); k >= len(original) || b.Len() != len(original[k]) {
+			t.Fatalf("dispatch %d of %d bytes diverges from the recorded sizes", k, b.Len())
+		}
+		return dispatch(b)
 	})
-	for _, s := range sizes {
-		w2.PushCut(s)
-	}
-	if !w2.InRecovery() {
-		t.Fatal("writer not in recovery after PushCut")
-	}
-	for i := int64(0); i < 10; i++ {
+	for i := int64(0); i < 40; i++ {
 		if err := w2.WriteElement(types.Record(uint64(i), i, i)); err != nil {
 			t.Fatal(err)
 		}
-		// Timing flushes during recovery must be ignored.
-		if err := w2.Flush(); err != nil {
-			t.Fatal(err)
+		if k := len(replayed); k < len(original) && w2.PendingBytes() == len(original[k]) {
+			if err := w2.Flush(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	if err := w2.ForceFlush(); err != nil {
-		t.Fatal(err)
-	}
-	if len(replayed) != len(original) {
-		t.Fatalf("replayed %d buffers, want %d", len(replayed), len(original))
+	if len(replayed) != len(original) || w2.PendingBytes() != 0 {
+		t.Fatalf("replayed %d buffers (%d bytes left), want %d", len(replayed), w2.PendingBytes(), len(original))
 	}
 	for i := range original {
-		if string(replayed[i]) != string(original[i]) {
+		if !bytes.Equal(replayed[i], original[i]) {
 			t.Fatalf("buffer %d differs after recovery", i)
 		}
-	}
-	if w2.InRecovery() {
-		t.Fatal("writer still in recovery after consuming all cuts")
 	}
 }
 

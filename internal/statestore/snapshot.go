@@ -26,20 +26,16 @@ import (
 // the only image format: bytes that do not start with the magic of the
 // expected kind are ErrCorrupt.
 //
-// Version 3 added the 'F' in-flight kind; the 'S'/'D' layouts are
-// unchanged, so readers still accept version 2 images of those kinds.
-// Nothing in the tree writes version 2 and no image outlives its
-// process: the range is the last "image nothing can produce" path, left
-// for ROADMAP 3(e) to delete with TestSnapshotPriorVersionAccepted.
+// No image outlives its process, so a reader accepts exactly the version
+// it writes.
 const (
-	snapshotVersion    = 3
-	minSnapshotVersion = 2
-	magicKindFull      = 'S'
-	magicKindDelta     = 'D'
-	magicKindInFlight  = 'F'
-	magicByte0         = 0x00
-	magicByte1         = 'C'
-	snapshotHeadLen    = 4
+	snapshotVersion   = 3
+	magicKindFull     = 'S'
+	magicKindDelta    = 'D'
+	magicKindInFlight = 'F'
+	magicByte0        = 0x00
+	magicByte1        = 'C'
+	snapshotHeadLen   = 4
 )
 
 func appendMagic(dst []byte, kind byte) []byte {
@@ -51,8 +47,8 @@ func checkMagic(b []byte, kind byte) error {
 	if len(b) < snapshotHeadLen || b[0] != magicByte0 || b[1] != magicByte1 || b[2] != kind {
 		return fmt.Errorf("%w: malformed snapshot header % x", ErrCorrupt, b[:min(len(b), snapshotHeadLen)])
 	}
-	if b[3] < minSnapshotVersion || b[3] > snapshotVersion {
-		return fmt.Errorf("statestore: unsupported snapshot version %d (want %d..%d)", b[3], minSnapshotVersion, snapshotVersion)
+	if b[3] != snapshotVersion {
+		return fmt.Errorf("statestore: unsupported snapshot version %d (want %d)", b[3], snapshotVersion)
 	}
 	return nil
 }

@@ -142,13 +142,6 @@ func (s *Service) RegisterProc(t Timer) {
 	}
 }
 
-// CancelProc disarms a processing-time timer; reports whether it existed.
-func (s *Service) CancelProc(t Timer) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.proc.remove(t)
-}
-
 // TakeProc removes a pending processing-time timer during determinant
 // replay (the logged firing consumed it). Reports whether it was pending.
 func (s *Service) TakeProc(t Timer) bool {
