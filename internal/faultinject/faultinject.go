@@ -440,8 +440,8 @@ func Sweep(plan SweepPlan) []Schedule {
 				out = append(out, Schedule{Kills: []Kill{{Point: p.Name, Victim: align}}})
 			}
 		case KindUnaligned:
-			// Same victim shape as alignment points; the driver arms
-			// Config.UnalignedCheckpoints when it sees this kind.
+			// Same victim shape as alignment points; the schedule runner
+			// sets Config.AlignmentBudget to 0 when it sees this kind.
 			if align != "" {
 				k := Kill{Point: p.Name, Victim: align}
 				if p.Name == PointUnalignedCapture {

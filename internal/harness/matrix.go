@@ -42,10 +42,10 @@ type MatrixOptions struct {
 // MatrixCheckpointModes lists the checkpoint-mode axis values:
 //
 //	aligned    barrier alignment gates already-barriered channels until
-//	           the last barrier arrives (the default task configuration)
-//	unaligned  always-on unaligned checkpointing: the task snapshots on
-//	           the first barrier and logs in-flight input instead of
-//	           gating channels
+//	           the last barrier arrives (the default AlignmentBudget)
+//	unaligned  AlignmentBudget 0: the task snapshots on the first
+//	           barrier and logs in-flight input instead of gating
+//	           channels
 //
 // The mode decides which crash point the "alignment" failure cell arms:
 // align/blocked never fires in unaligned mode (no channel is ever
@@ -258,7 +258,9 @@ func runMatrixCell(load float64, stateBytes int, failure, mode string, opt Matri
 		// validator rejects.
 		aud := audit.New()
 		cfg.Audit = aud
-		cfg.UnalignedCheckpoints = mode == "unaligned"
+		if mode == "unaligned" {
+			cfg.AlignmentBudget = 0 // convert at the first barrier: no channel is ever gated
+		}
 		if failure == "alignment" {
 			// The crash-point analyzer reserves Point constants for their
 			// single production call site; schedules are built from the

@@ -57,9 +57,10 @@ func (g Guarantee) String() string {
 
 // Engine parameters no caller varies.
 const (
-	checkpointTimeout  = 30 * time.Second // the coordinator abandons a checkpoint not acked by then
-	mailboxSize        = 1024             // bound of a task's async event queue
-	latencyMarkerEvery = 64               // source records between two latency markers
+	checkpointTimeout      = 30 * time.Second // the coordinator abandons a checkpoint not acked by then
+	timestampGranularityMs = 1                // refresh period of the Timestamp service cache
+	mailboxSize            = 1024             // bound of a task's async event queue
+	latencyMarkerEvery     = 64               // source records between two latency markers
 )
 
 // Config is the runtime configuration of one job.
@@ -109,8 +110,6 @@ type Config struct {
 	// InFlight configures spill behaviour.
 	InFlight inflight.Config
 
-	// TimestampGranularityMs configures the Timestamp service cache.
-	TimestampGranularityMs int64
 	// World is the simulated external world reachable from UDFs.
 	World *services.ExternalWorld
 	// SnapshotDir persists checkpoints to disk when non-empty.
@@ -124,19 +123,14 @@ type Config struct {
 	// full image. The first snapshot after start or recovery is full.
 	IncrementalCheckpoints bool
 
-	// UnalignedCheckpoints arms overload-tolerant checkpointing as
-	// always-on: a multi-input task snapshots immediately on its first
-	// barrier and logs the in-flight buffers of not-yet-barriered
-	// channels into the snapshot instead of gating them. No channel is
-	// ever blocked for alignment; the checkpoint ack is deferred until
-	// every pending channel's barrier has drained past the capture.
-	UnalignedCheckpoints bool
-	// AlignmentBudget converts a stuck aligned checkpoint to the
-	// unaligned capture path: when a barrier alignment has been pending
-	// longer than this budget, the task snapshots where it stands,
-	// unblocks its gated channels, and logs the remaining pre-barrier
-	// input into the snapshot. 0 disables the conversion (aligned
-	// checkpoints wait indefinitely; UnalignedCheckpoints is unaffected).
+	// AlignmentBudget is how long a pending barrier alignment may gate
+	// the channels whose barrier has arrived. Past it the task converts
+	// the alignment to an unaligned checkpoint: it snapshots where it
+	// stands, reopens the gated channels, and logs the pre-barrier input
+	// still in flight on the other channels into the snapshot, acking
+	// once their barriers are in. 0 converts at the first barrier, so no
+	// channel is ever gated. DefaultConfig sets checkpointTimeout, after
+	// which the coordinator abandons the checkpoint anyway: aligned.
 	AlignmentBudget time.Duration
 
 	// StallDeadline arms the runtime's stall watchdog: a tracer event
@@ -178,20 +172,20 @@ type Config struct {
 // (~10x faster clocks than the paper's cluster settings).
 func DefaultConfig() Config {
 	return Config{
-		Mode:                   ModeClonos,
-		Guarantee:              ExactlyOnce,
-		DSD:                    1,
-		Standby:                true,
-		CheckpointInterval:     500 * time.Millisecond,
-		HeartbeatTimeout:       600 * time.Millisecond,
-		BufferSize:             8 * 1024,
-		ChannelBuffers:         10,
-		EndpointCredit:         16,
-		LogPoolBuffers:         512,
-		BufferTimeout:          5 * time.Millisecond,
-		InFlight:               inflight.Config{Policy: inflight.PolicySpillThreshold, Threshold: 0.25},
-		TimestampGranularityMs: 1,
-		StallDeadline:          5 * time.Second,
+		Mode:               ModeClonos,
+		Guarantee:          ExactlyOnce,
+		DSD:                1,
+		Standby:            true,
+		CheckpointInterval: 500 * time.Millisecond,
+		HeartbeatTimeout:   600 * time.Millisecond,
+		BufferSize:         8 * 1024,
+		ChannelBuffers:     10,
+		EndpointCredit:     16,
+		LogPoolBuffers:     512,
+		BufferTimeout:      5 * time.Millisecond,
+		InFlight:           inflight.Config{Policy: inflight.PolicySpillThreshold, Threshold: 0.25},
+		AlignmentBudget:    checkpointTimeout,
+		StallDeadline:      5 * time.Second,
 	}
 }
 

@@ -52,11 +52,11 @@ const (
 	// at restore (Info: "cp=N fp=... verified"), giving clonos-trace
 	// -audit a per-recovery fingerprint-comparison record.
 	EventAuditFingerprint EventKind = "audit-fingerprint"
-	// EventUnalignedSnapshot records a task snapshotting unaligned — at
-	// its first barrier (Config.UnalignedCheckpoints) or after a pending
-	// alignment exceeded Config.AlignmentBudget. Info carries the
-	// checkpoint; the in-flight capture of the not-yet-barriered channels
-	// begins here.
+	// EventUnalignedSnapshot records a task converting a pending
+	// alignment to an unaligned snapshot once it exceeded
+	// Config.AlignmentBudget (at the first barrier when the budget is
+	// 0). Info carries the checkpoint; the in-flight capture of the
+	// not-yet-barriered channels begins here.
 	EventUnalignedSnapshot EventKind = "unaligned-snapshot"
 )
 

@@ -291,7 +291,7 @@ func newTask(env *Runtime, vertex *Vertex, subtask int32) *Task {
 		logger = noopLogger{}
 	}
 	svcCfg := services.Config{
-		TimestampGranularityMs: cfg.TimestampGranularityMs,
+		TimestampGranularityMs: timestampGranularityMs,
 		World:                  cfg.World,
 	}
 	if cfg.ServiceSeed != 0 {
@@ -899,19 +899,14 @@ func (t *Task) completeAlignment(cp types.CheckpointID) {
 //
 //clonos:mainthread
 func (t *Task) runLive() {
-	budget := t.env.cfg.AlignmentBudget
 	for !t.crashed.Load() {
 		if t.loopTick() {
 			return
 		}
-		if startNs := t.alignStartNs.Load(); budget > 0 && startNs != 0 &&
-			time.Since(time.Unix(0, startNs)) > budget {
-			// The aligned checkpoint is stuck behind a slow barrier
-			// (backpressure on a not-yet-barriered channel): convert it to
-			// an unaligned one rather than keep the barriered channels
-			// gated. Their parked post-barrier input belongs to epoch
-			// cp+1 and flows again once releaseAlignment reopens the gate.
-			t.beginUnalignedCapture(types.CheckpointID(t.alignCpShadow.Load()))
+		if t.alignmentLeft() <= 0 {
+			// Stuck behind a slow barrier: convert. The gated channels'
+			// post-barrier input (epoch cp+1) flows again at once.
+			t.beginUnalignedCapture(t.alignCp)
 			if t.crashed.Load() {
 				return
 			}
@@ -936,7 +931,7 @@ func (t *Task) runLive() {
 		if t.recSpan.Load() != nil && !t.gate.Replaying() {
 			t.finishRecoverySpan()
 		}
-		park := t.parkFor(t.cutAtIdle())
+		park := t.parkFor(min(t.cutAtIdle(), t.alignmentLeft()))
 		select {
 		case ev := <-t.mailbox:
 			t.handleMail(ev)
@@ -1271,12 +1266,13 @@ func (t *Task) advanceWatermark(wm int64) {
 	t.broadcastElement(types.Watermark(wm))
 }
 
-// handleBarrier performs checkpoint alignment. Aligned mode: the first
-// barrier of a checkpoint blocks its channel; when barriers arrived on
-// all channels the task snapshots and unblocks. Unaligned mode (see
-// beginUnalignedCapture): the first barrier snapshots immediately and the
+// handleBarrier performs checkpoint alignment: each barrier blocks its
+// channel, and when barriers arrived on all channels the task snapshots
+// and unblocks. An alignment older than Config.AlignmentBudget converts
+// instead (see beginUnalignedCapture): the task snapshots at once and the
 // remaining channels keep flowing, their pre-barrier input logged into
-// the snapshot until their barriers catch up.
+// the snapshot until their barriers catch up. A budget of 0 converts at
+// the first barrier, so no channel is ever blocked.
 //
 //clonos:mainthread
 func (t *Task) handleBarrier(idx int, cp types.CheckpointID) {
@@ -1343,7 +1339,7 @@ func (t *Task) handleBarrier(idx int, cp types.CheckpointID) {
 	t.barriersSeen[idx] = true
 	t.barriersLeft--
 	if t.barriersLeft > 0 {
-		if t.env.cfg.UnalignedCheckpoints {
+		if t.alignmentLeft() <= 0 {
 			t.beginUnalignedCapture(cp)
 			return
 		}
@@ -1353,6 +1349,19 @@ func (t *Task) handleBarrier(idx int, cp types.CheckpointID) {
 		return
 	}
 	t.completeAlignment(cp)
+}
+
+// alignmentLeft is how long the pending alignment may still gate its
+// channels before it converts to an unaligned checkpoint; idlePark when
+// no alignment is pending. The loop parks no longer than this, so an
+// idle task converts on time.
+//
+//clonos:mainthread
+func (t *Task) alignmentLeft() time.Duration {
+	if !t.aligning {
+		return idlePark
+	}
+	return t.env.cfg.AlignmentBudget - time.Since(t.alignStart)
 }
 
 // releaseAlignment ends a pending alignment (completed or superseded):
@@ -1374,13 +1383,13 @@ func (t *Task) releaseAlignment() {
 // beginUnalignedCapture switches the pending alignment of checkpoint cp
 // into unaligned capture: snapshot NOW, then log — instead of gate — the
 // pre-barrier input still in flight on the not-yet-barriered channels.
-// Entered from handleBarrier (Config.UnalignedCheckpoints, at the first
-// barrier) or from runLive's budget check (a pending alignment exceeded
-// Config.AlignmentBudget). The snapshot broadcasts the barrier and rolls
-// the epoch exactly as an aligned one does, and each channel's capture
-// ends precisely when that sender's own barrier is decoded — so the
-// captured log ends at the sender's epoch boundary and recovery's replay
-// protocol (resume at the first seq of epoch cp+1) needs no changes.
+// Entered from handleBarrier or runLive, whichever first finds the
+// alignment past its budget (alignmentLeft). The snapshot broadcasts the
+// barrier and rolls the epoch exactly as an aligned one does, and each
+// channel's capture ends precisely when that sender's own barrier is
+// decoded — so the captured log ends at the sender's epoch boundary and
+// recovery's replay protocol (resume at the first seq of epoch cp+1)
+// needs no changes.
 //
 //clonos:mainthread
 func (t *Task) beginUnalignedCapture(cp types.CheckpointID) {

@@ -16,7 +16,6 @@ func NewMessage() *Message { return new(Message) }
 
 func (m *Message) Release()              {}
 func (m *Message) Bind(b *buffer.Buffer) { m.buf = b }
-func (m *Message) Unalias()              {}
 
 var sent []*Message
 var errClosed = errors.New("closed")

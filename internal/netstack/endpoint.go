@@ -64,14 +64,9 @@ type Endpoint struct {
 	// only messages stamped with this generation are accepted. Rebind
 	// sets it when a recovering sender takes over the channel, fencing
 	// off the crashed predecessor's lingering sends.
-	gen uint64
-	// unbounded lifts the credit limit while the channel is blocked for
-	// barrier alignment: the consumer is deliberately not draining it,
-	// and capping the queue would deadlock the producer against the
-	// alignment (the data is buffered instead, as Flink does).
-	unbounded bool
-	broken    bool
-	closed    bool
+	gen    uint64
+	broken bool
+	closed bool
 
 	// notify is signalled (non-blocking) whenever the queue goes
 	// non-empty. It is shared with the owning gate.
@@ -178,13 +173,13 @@ func (ep *Endpoint) ID() types.ChannelID { return ep.id }
 //clonos:owns-transfer on-success
 func (ep *Endpoint) Push(m *Message) error {
 	ep.mu.Lock()
-	if len(ep.queue) >= ep.credit && !ep.unbounded && !ep.broken && !ep.closed {
+	if len(ep.queue) >= ep.credit && !ep.broken && !ep.closed {
 		mx := ep.metrics
 		if mx != nil {
 			mx.Blocked.Inc()
 		}
 		start := time.Now()
-		for len(ep.queue) >= ep.credit && !ep.unbounded && !ep.broken && !ep.closed &&
+		for len(ep.queue) >= ep.credit && !ep.broken && !ep.closed &&
 			(ep.gen == 0 || m.Gen == ep.gen) {
 			ep.sendCond.Wait()
 		}
@@ -244,14 +239,6 @@ func (ep *Endpoint) Push(m *Message) error {
 	}
 	ep.anchored = true
 	ep.lastPushed = m.Seq
-	if ep.unbounded {
-		// The consumer is deliberately not draining this queue (barrier
-		// alignment): detach the payload from the sender's buffer so the
-		// parked message cannot pin the sender's pool — that pool running
-		// dry would stall the sender's main thread and deadlock the very
-		// alignment this queue is buffering for.
-		m.Unalias()
-	}
 	ep.queue = append(ep.queue, m)
 	if ep.metrics != nil {
 		ep.metrics.Accepted.Inc()
@@ -355,22 +342,6 @@ func (ep *Endpoint) Rebind(gen uint64) uint64 {
 	ep.replaying = false
 	ep.sendCond.Broadcast()
 	return ep.lastPushed
-}
-
-// SetUnbounded toggles alignment buffering: while true, Push never blocks
-// on the credit limit and parked messages are detached from their
-// senders' buffers (see the Unalias note in Push) — including anything
-// already queued when the block engages.
-func (ep *Endpoint) SetUnbounded(v bool) {
-	ep.mu.Lock()
-	defer ep.mu.Unlock()
-	ep.unbounded = v
-	if v {
-		for _, m := range ep.queue {
-			m.Unalias()
-		}
-		ep.sendCond.Broadcast()
-	}
 }
 
 // Break severs the connection after a receiver failure: queued messages

@@ -51,20 +51,17 @@ func (g *Gate) NumChannels() int { return len(g.eps) }
 // Endpoint returns the endpoint at the given gate index.
 func (g *Gate) Endpoint(idx int) *Endpoint { return g.eps[idx] }
 
-// Block marks a channel as blocked for barrier alignment. While blocked,
-// the endpoint buffers pushes without a credit limit — the producer must
-// not stall against the alignment, or backpressure cycles deadlock the
-// checkpoint (the Flink alignment-buffer behaviour).
-func (g *Gate) Block(idx int) {
-	g.blocked[idx].Store(true)
-	g.eps[idx].SetUnbounded(true)
-}
+// Block marks a channel as blocked for barrier alignment. The channel
+// keeps its credit: once its queue is full, its sender parks in Push as
+// it does behind any slow receiver. That cannot deadlock the alignment,
+// because a channel is blocked only after its sender broadcast the
+// barrier on every output (DESIGN.md "Trigger conditions").
+func (g *Gate) Block(idx int) { g.blocked[idx].Store(true) }
 
 // Unblock releases a channel blocked for alignment. It re-signals the
 // wake-up channel since blocked data may now be servable.
 func (g *Gate) Unblock(idx int) {
 	g.blocked[idx].Store(false)
-	g.eps[idx].SetUnbounded(false)
 	signal(g.notify)
 }
 
@@ -72,7 +69,6 @@ func (g *Gate) Unblock(idx int) {
 func (g *Gate) UnblockAll() {
 	for i := range g.blocked {
 		g.blocked[i].Store(false)
-		g.eps[i].SetUnbounded(false)
 	}
 	signal(g.notify)
 }

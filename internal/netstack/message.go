@@ -66,21 +66,6 @@ func (m *Message) Bind(b *buffer.Buffer) {
 	m.Data = b.Data
 }
 
-// Unalias detaches the payload from the sender's network buffer: the
-// bytes move into a private copy and the buffer reference is dropped, so
-// the sender can recycle (and rewrite) the buffer while the message is
-// parked. Endpoints use it on alignment-blocked channels, where the
-// consumer deliberately stops draining — a parked alias would pin the
-// sender's pool and deadlock the checkpoint (see Gate.Block).
-func (m *Message) Unalias() {
-	if m.buf == nil {
-		return
-	}
-	m.Data = append([]byte(nil), m.Data...)
-	m.buf.Release()
-	m.buf = nil
-}
-
 // Release drops the payload-buffer reference (if any) and returns the
 // message to the pool. The message must not be used afterwards. Safe on
 // nil and on messages built as plain literals.

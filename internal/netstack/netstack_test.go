@@ -469,61 +469,46 @@ func TestDeserializerReset(t *testing.T) {
 	}
 }
 
-func TestEndpointUnboundedDuringAlignment(t *testing.T) {
-	ep := NewEndpoint(ch(1, 0, 0), 2, nil, true)
-	_ = ep.Push(msg(ep.ID(), 1))
-	_ = ep.Push(msg(ep.ID(), 2))
-	// Queue is at credit; a blocked-for-alignment channel must keep
-	// accepting pushes so the producer is not deadlocked against the
-	// alignment.
-	ep.SetUnbounded(true)
-	done := make(chan error, 1)
-	go func() { done <- ep.Push(msg(ep.ID(), 3)) }()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("push blocked on an unbounded endpoint")
-	}
-	if ep.Len() != 3 {
-		t.Fatalf("len = %d", ep.Len())
-	}
-	// Back to bounded: the next push must block until a pop.
-	ep.SetUnbounded(false)
-	go func() { done <- ep.Push(msg(ep.ID(), 4)) }()
-	select {
-	case <-done:
-		t.Fatal("push did not block after re-bounding")
-	case <-time.After(20 * time.Millisecond):
-	}
-	ep.Pop()
-	ep.Pop()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("push never unblocked")
-	}
-}
-
-func TestGateBlockLiftsCredit(t *testing.T) {
+// TestGateBlockKeepsCredit pins that a channel blocked for barrier
+// alignment keeps its credit: a push to it at credit parks, and proceeds
+// once the gate is unblocked and serves the channel again.
+func TestGateBlockKeepsCredit(t *testing.T) {
 	n := NewNetwork()
 	ids := []types.ChannelID{ch(1, 0, 0)}
 	g := NewGate(n, ids, 1, true)
-	_ = n.Send(msg(ids[0], 1))
-	g.Block(0)
-	// Credit 1 is exhausted, but the blocked channel buffers.
-	if err := n.Send(msg(ids[0], 2)); err != nil {
+	if err := n.Send(msg(ids[0], 1)); err != nil {
 		t.Fatal(err)
+	}
+	g.Block(0)
+	done := make(chan error, 1)
+	go func() { done <- n.Send(msg(ids[0], 2)) }()
+	select {
+	case err := <-done:
+		t.Fatalf("push to a blocked channel at credit returned (err=%v) instead of parking", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	if l := g.Endpoint(0).Len(); l != 1 {
+		t.Fatalf("blocked channel holds %d buffers, credit is 1", l)
+	}
+	if _, _, ok := g.TryNext(); ok {
+		t.Fatal("blocked channel served")
 	}
 	g.Unblock(0)
 	abort := make(chan struct{})
-	idx, m, err := g.Next(abort)
-	if err != nil || idx != 0 || m.Seq != 1 {
-		t.Fatalf("next: idx=%d m=%v err=%v", idx, m, err)
+	for want := uint64(1); want <= 2; want++ {
+		idx, m, err := g.Next(abort)
+		if err != nil || idx != 0 || m.Seq != want {
+			t.Fatalf("next: idx=%d m=%v err=%v, want seq %d", idx, m, err, want)
+		}
+		if want == 1 {
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(time.Second):
+				t.Fatal("parked push did not proceed after Unblock freed its credit")
+			}
+		}
 	}
 }
