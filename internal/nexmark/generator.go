@@ -186,7 +186,7 @@ type Driver struct {
 }
 
 // NewDriver builds a driver producing `limit` events (limit <= 0 means
-// unbounded) at rate events/second into topic.
+// no limit) at rate events/second into topic.
 func NewDriver(topic *kafkasim.Topic, cfg GeneratorConfig, rate int, limit int64) *Driver {
 	g := kafkasim.NewGenerator(topic, rate, func(i int64) (kafkasim.Record, bool) {
 		if limit > 0 && i >= limit {

@@ -148,7 +148,7 @@ func workOperator(name string, cfg Config) operator.Operator {
 	})
 }
 
-// Drive produces limit int64 records (limit <= 0: unbounded) at the given
+// Drive produces limit int64 records (limit <= 0: no limit) at the given
 // rate, keyed round-robin over cfg.Keys, timestamped with wall time.
 func Drive(topic *kafkasim.Topic, cfg Config, rate int, limit int64) *kafkasim.Generator {
 	return kafkasim.NewGenerator(topic, rate, func(i int64) (kafkasim.Record, bool) {
