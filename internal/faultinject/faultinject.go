@@ -33,7 +33,7 @@ import (
 const (
 	// Task main loop and mailbox.
 	PointTaskLoop      = "task/loop"           // top of the main-thread loop
-	PointTimerFiring   = "task/timer-firing"   // processing-time timer delivery, before the TIMER determinant is logged
+	PointTimerFiring   = "task/timer-firing"   // a due processing-time timer firing, before the TIMER determinant is logged
 	PointCheckpointRPC = "task/checkpoint-rpc" // checkpoint-trigger RPC delivery, before the RPC determinant is logged
 	PointSourceEmit    = "source/emit"         // before emitting one source element
 

@@ -82,12 +82,12 @@ func Fig6Summaries(results []Fig6Result) []Fig6Summary {
 		s := Fig6Summary{
 			Experiment:       r.Experiment,
 			System:           r.System,
-			DetectionMs:      float64(r.Summary.Detection.Milliseconds()),
-			ActivationMs:     float64(r.Summary.Activation.Milliseconds()),
-			RecoveryMs:       float64(r.Summary.Recovery.Milliseconds()),
+			DetectionMs:      durMs(r.Summary.Detection),
+			ActivationMs:     durMs(r.Summary.Activation),
+			RecoveryMs:       durMs(r.Summary.Recovery),
 			RecoveryOK:       r.Summary.RecoveryOK,
 			Repeats:          len(r.Recoveries),
-			ThroughputGapMs:  float64(r.Summary.ThroughputGap.Milliseconds()),
+			ThroughputGapMs:  durMs(r.Summary.ThroughputGap),
 			SteadyThroughput: SteadyThroughput(r.Run.Samples, 0.2),
 			SinkRecords:      r.Run.SinkCount,
 			GlobalRestart:    r.Summary.Restarted,
@@ -102,6 +102,11 @@ func Fig6Summaries(results []Fig6Result) []Fig6Summary {
 	}
 	return out
 }
+
+// durMs converts a duration to fractional milliseconds. Detection and
+// activation take microseconds since a crash is detected at the break,
+// and a truncated 0 would read as "none".
+func durMs(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 // recoveryPercentiles summarizes the settled recovery times across
 // repeats; unsettled runs (OK == false) are excluded.

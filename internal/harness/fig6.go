@@ -76,7 +76,7 @@ type RecoverySample struct {
 func recoverySamples(sums []recoverySummary) []RecoverySample {
 	out := make([]RecoverySample, 0, len(sums))
 	for _, s := range sums {
-		out = append(out, RecoverySample{RecoveryMs: float64(s.Recovery.Milliseconds()), OK: s.RecoveryOK})
+		out = append(out, RecoverySample{RecoveryMs: durMs(s.Recovery), OK: s.RecoveryOK})
 	}
 	return out
 }

@@ -329,10 +329,10 @@ func runMatrixCell(load float64, stateBytes int, failure, mode string, opt Matri
 		StateBytesPerKey: stateBytes,
 		Failure:          failure,
 		Mode:             mode,
-		DetectionMs:      float64(med.Detection) / float64(time.Millisecond),
-		RecoveryMs:       float64(med.Recovery.Milliseconds()),
+		DetectionMs:      durMs(med.Detection),
+		RecoveryMs:       durMs(med.Recovery),
 		RecoveryOK:       med.RecoveryOK,
-		ThroughputGapMs:  float64(med.ThroughputGap.Milliseconds()),
+		ThroughputGapMs:  durMs(med.ThroughputGap),
 		SteadyThroughput: SteadyThroughput(rep.Samples, 0.2),
 		SinkRecords:      rep.SinkCount,
 		GlobalRestart:    med.Restarted,

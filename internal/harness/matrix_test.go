@@ -4,6 +4,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 func sampleMatrixReport() *MatrixReport {
@@ -40,6 +41,28 @@ func TestMatrixReportRoundTrip(t *testing.T) {
 	}
 	if len(got.Cells) != len(want.Cells) || got.Cells[1].Failure != "alignment" || got.Cells[1].RecoveryMs != 1200 {
 		t.Fatalf("round-trip mismatch: %+v", got.Cells)
+	}
+}
+
+// TestSettledSubMillisecondCellValidates: a recovery that settles in
+// 0.3 ms is stored as 0.3 ms, not truncated to 0, so the self-check's
+// rule that a settled cell has a positive recovery time holds on it.
+func TestSettledSubMillisecondCellValidates(t *testing.T) {
+	r := sampleMatrixReport()
+	r.Cells[0].RecoveryMs = durMs(300 * time.Microsecond)
+	path := filepath.Join(t.TempDir(), "matrix.json")
+	if err := WriteMatrixReport(path, r, nil); err != nil {
+		t.Fatal(err)
+	}
+	got, err := LoadMatrixReport(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ValidateMatrixReport(got, len(r.Cells)); err != nil {
+		t.Fatalf("settled 0.3 ms cell: %v", err)
+	}
+	if ms := got.Cells[0].RecoveryMs; ms != 0.3 {
+		t.Fatalf("recovery read back as %v ms, want 0.3", ms)
 	}
 }
 

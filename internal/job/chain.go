@@ -140,8 +140,15 @@ func (c *chain) onEventTimer(tm timers.Timer) {
 	}
 }
 
-// onProcTimer routes a fired processing-time timer to its owning operator.
+// onProcTimer routes a fired processing-time timer to its owner: the
+// Timestamp service's cache refresh or an operator.
 func (c *chain) onProcTimer(tm timers.Timer) {
+	if tm.HandlerID == tsRefreshHandler {
+		if err := c.task.svcs.OnRefreshTimer(); err != nil {
+			c.task.fail(err)
+		}
+		return
+	}
 	i := int(tm.HandlerID)
 	if i < 0 || i >= len(c.ops) {
 		c.task.fail(fmt.Errorf("proc timer for unknown handler %d", tm.HandlerID))
@@ -175,12 +182,17 @@ func (ctx *opContext) NamedState(name string) *statestore.KeyedState {
 // Services implements operator.Context.
 func (ctx *opContext) Services() *services.Services { return ctx.task.svcs }
 
-// RegisterProcTimer implements operator.Context.
+// RegisterProcTimer implements operator.Context. Operator callbacks run
+// on the task main thread, which owns the timer service.
+//
+//clonos:mainthread
 func (ctx *opContext) RegisterProcTimer(key uint64, when int64) {
 	ctx.task.timerSvc.RegisterProc(timers.Timer{HandlerID: int32(ctx.index), Key: key, When: when})
 }
 
 // RegisterEventTimer implements operator.Context.
+//
+//clonos:mainthread
 func (ctx *opContext) RegisterEventTimer(key uint64, when int64) {
 	ctx.task.timerSvc.RegisterEvent(timers.Timer{HandlerID: int32(ctx.index), Key: key, When: when})
 }

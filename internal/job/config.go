@@ -59,7 +59,7 @@ func (g Guarantee) String() string {
 const (
 	checkpointTimeout      = 30 * time.Second // the coordinator abandons a checkpoint not acked by then
 	timestampGranularityMs = 1                // refresh period of the Timestamp service cache
-	mailboxSize            = 1024             // bound of a task's async event queue
+	mailboxSize            = 1024             // bound of a source task's queue of checkpoint triggers
 	latencyMarkerEvery     = 64               // source records between two latency markers
 )
 

@@ -191,7 +191,7 @@ func runCrashScheduleMode(t *testing.T, sched faultinject.Schedule, forceUnalign
 	var g *Graph
 	if timerRun {
 		topic = kafkasim.NewTopic("in", 1)
-		g = procWindowPipeline(topic, sink)
+		g = procWindowPipeline(topic, sink, 50)
 	} else if unaligned {
 		// Unaligned runs go through the slow variant so the capture
 		// windows the schedule crashes in open onto a genuine backlog

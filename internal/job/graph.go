@@ -1,5 +1,5 @@
 // Package job implements the execution layer: the dataflow graph, the
-// task runtime (mailbox main loop, barrier alignment, causally logged
+// task runtime (one main loop per task, barrier alignment, causally logged
 // execution, output dispatch with in-flight logging), the job manager with
 // heartbeat failure detection, standby tasks, and both recovery protocols
 // — global rollback (the Flink baseline) and Clonos local recovery.

@@ -1,14 +1,11 @@
 package job
 
 import (
-	"strings"
 	"testing"
-	"time"
 
 	"clonos/internal/causal"
 	"clonos/internal/checkpoint"
 	"clonos/internal/kafkasim"
-	"clonos/internal/leakcheck"
 	"clonos/internal/statestore"
 	"clonos/internal/types"
 )
@@ -43,7 +40,7 @@ func undeployedTask(t *testing.T) *Task {
 func TestPreloadedDeltasAreExtractable(t *testing.T) {
 	tk := undeployedTask(t)
 	in := tk.inIDs[0]
-	up := types.TaskID{Vertex: tk.graph().Edges[in.Edge].From.ID, Subtask: in.From}
+	up := types.TaskID{Vertex: tk.env.graph.Edges[in.Edge].From.ID, Subtask: in.From}
 
 	// Two buffers the upstream sent in epoch 2, each with the delta its
 	// causal manager piggybacked, captured in flight by checkpoint 1.
@@ -95,30 +92,6 @@ func TestPreloadedDeltasAreExtractable(t *testing.T) {
 	for i := range want {
 		if !ex.Main[i].Equal(want[i]) {
 			t.Fatalf("determinant %d = %v, want %v", i, ex.Main[i], want[i])
-		}
-	}
-}
-
-// TestCrashBeforeStartLeavesNoTimerThread pins the tier-1 gate flake: a
-// crash (a fault injected mid-recovery, or shutdown) that lands before the
-// task's start() has launched its threads ran timerSvc.Stop() first and
-// timerSvc.Start() second, and the thread that Start spawned was never
-// stopped. Both orders are exercised: start() after crash(), and the
-// narrower window where crash() lands inside start(), after its crashed
-// check — there start() goes on to call timerSvc.Start().
-func TestCrashBeforeStartLeavesNoTimerThread(t *testing.T) {
-	tk := undeployedTask(t)
-	tk.crash()
-	tk.start()
-	select {
-	case <-tk.done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("start() after crash() did not close done")
-	}
-	tk.timerSvc.Start()
-	for _, g := range leakcheck.Check(0) {
-		if strings.Contains(g, "timers.(*Service).run") {
-			t.Fatalf("timer thread running after crash:\n%s", g)
 		}
 	}
 }

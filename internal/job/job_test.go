@@ -2,6 +2,7 @@ package job
 
 import (
 	"encoding/binary"
+	"runtime"
 	"testing"
 	"time"
 
@@ -56,9 +57,16 @@ func runToCompletion(t *testing.T, g *Graph, cfg Config, timeout time.Duration) 
 		for _, e := range r.Errors() {
 			t.Logf("task error: %v", e)
 		}
-		t.Fatal("job did not finish")
+		t.Fatalf("job did not finish; goroutines:\n%s", allStacks())
 	}
 	return r
+}
+
+// allStacks returns every goroutine's stack: a job test that times out
+// reports where each thread waits.
+func allStacks() string {
+	buf := make([]byte, 4<<20)
+	return string(buf[:runtime.Stack(buf, true)])
 }
 
 func sumSink(sink *kafkasim.SinkTopic) (count int, sum int64) {

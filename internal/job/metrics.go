@@ -139,9 +139,6 @@ func latencyHistogram(reg *obs.Registry, vertexName string, subtask int32) *obs.
 func (t *Task) registerGauges() {
 	reg := t.env.obs
 	lbl := obs.Labels{"vertex": t.vertex.Name, "subtask": strconv.Itoa(int(t.id.Subtask))}
-	mailbox := t.mailbox
-	reg.GaugeFunc("clonos_task_mailbox_depth", "Queued asynchronous events (timers, RPCs).", lbl,
-		func() float64 { return float64(len(mailbox)) })
 	if gate := t.gate; gate != nil {
 		reg.GaugeFunc("clonos_netstack_queue_depth", "Buffers queued across the task's input channels.", lbl,
 			func() float64 { return float64(gate.QueuedBuffers()) })

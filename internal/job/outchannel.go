@@ -91,7 +91,7 @@ func newOutChannel(t *Task, id types.ChannelID, outPool *buffer.Pool, iflog *inf
 	// so epoch-0 labels would silently drop the whole pre-barrier prefix.
 	oc := &outChannel{id: id, task: t, gen: channelGen.Add(1), outPool: outPool, iflog: iflog, nextSeq: 1, epochStartSeq: 1,
 		epoch: 1, retryWake: make(chan struct{}, 1)}
-	edge := t.graph().Edges[id.Edge]
+	edge := t.env.graph.Edges[id.Edge]
 	oc.writer = netstack.NewChannelWriter(outPool, edge.CodecOrDefault(), oc.dispatch)
 	return oc
 }

@@ -153,11 +153,11 @@ func TestNondeterministicOperatorExactlyOnce(t *testing.T) {
 // procWindowPipeline: source -> processing-time window count -> sink.
 // Processing-time windows are nondeterministic (they depend on the local
 // clock); Clonos must still deliver every record's effect exactly once.
-func procWindowPipeline(topic *kafkasim.Topic, sink *kafkasim.SinkTopic) *Graph {
+func procWindowPipeline(topic *kafkasim.Topic, sink *kafkasim.SinkTopic, sizeMs int64) *Graph {
 	g := NewGraph()
 	src := g.AddVertex("src", 1, &operator.KafkaSource{SourceName: "kafka", Topic: topic, WatermarkEvery: 50})
 	win := g.AddVertex("win", 1, nil, operator.Window("pcount",
-		operator.WindowSpec{Kind: operator.TumblingProcessingTime, Size: 50}, operator.Count(), false))
+		operator.WindowSpec{Kind: operator.TumblingProcessingTime, Size: sizeMs}, operator.Count(), false))
 	sinkV := g.AddVertex("sink", 1, nil, operator.NewKafkaSink("sink", sink))
 	g.Connect(src, win, PartitionHash, nil, nil)
 	g.Connect(win, sinkV, PartitionHash, nil, nil)
@@ -168,7 +168,7 @@ func TestProcessingTimeWindowSurvivesFailure(t *testing.T) {
 	const n = 3000
 	topic := kafkasim.NewTopic("in", 1)
 	sink := kafkasim.NewSinkTopic(true)
-	g := procWindowPipeline(topic, sink)
+	g := procWindowPipeline(topic, sink, 50)
 	cfg := quickConfig(ModeClonos)
 	r, err := NewRuntime(g, cfg)
 	if err != nil {
@@ -281,11 +281,11 @@ func runDeepFailure(t *testing.T, cfg Config, n int, keys uint64, plan func(r *R
 	t.Cleanup(gen.Stop)
 
 	if !r.WaitForCheckpoint(1, 30*time.Second) {
-		t.Fatalf("no checkpoint: %v", r.Errors())
+		t.Fatalf("no checkpoint: %v; goroutines:\n%s", r.Errors(), allStacks())
 	}
 	plan(r)
 	if !r.WaitFinished(90 * time.Second) {
-		t.Fatalf("job did not finish; errors: %v events: %v", r.Errors(), r.Events())
+		t.Fatalf("job did not finish; errors: %v events: %v; goroutines:\n%s", r.Errors(), r.Events(), allStacks())
 	}
 	for _, e := range r.Errors() {
 		t.Errorf("task error: %v", e)

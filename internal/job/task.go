@@ -33,26 +33,9 @@ const (
 	stateCrashed
 )
 
-type mailKind int
-
-const (
-	mailTimer mailKind = iota
-	mailRPC
-)
-
-// mailEvent is one asynchronous event delivered to the task's main loop:
-// a processing-time timer firing or a checkpoint-trigger RPC. Routing
-// through the mailbox serializes these with record processing so they can
-// be causally logged with an exact input offset.
-type mailEvent struct {
-	kind  mailKind
-	timer timers.Timer
-	cp    types.CheckpointID
-}
-
-// Task is one parallel instance of a vertex: the main-thread loop, its
-// timer thread, input gate, output channels, state, and the causal
-// subsystem.
+// Task is one parallel instance of a vertex: the main-thread loop, which
+// also fires its processing-time timers, input gate, output channels,
+// state, and the causal subsystem.
 //
 // The snapcov analyzer verifies that every checked state field below
 // round-trips through the pair named here (or is explicitly declared
@@ -78,7 +61,7 @@ type Task struct {
 	logPool  *buffer.Pool
 
 	store    *statestore.Store
-	timerSvc *timers.Service
+	timerSvc *timers.Service //clonos:mainthread
 	causal   *causal.Manager // nil unless Clonos exactly-once
 	// audit is the job's armed auditor, nil unless Config.Audit is set
 	// AND the guarantee is exactly-once (the stream invariants are only
@@ -94,7 +77,9 @@ type Task struct {
 	chn              *chain
 	srcCtx           *opContext
 
-	mailbox chan mailEvent
+	// mailbox carries the coordinator's checkpoint triggers to a source
+	// task, whose main loop logs each as an RPC determinant.
+	mailbox chan types.CheckpointID
 	abort   chan struct{}
 	crashed atomic.Bool
 	state   atomic.Int32
@@ -253,7 +238,7 @@ func newTask(env *Runtime, vertex *Vertex, subtask int32) *Task {
 		id:               types.TaskID{Vertex: vertex.ID, Subtask: subtask},
 		vertex:           vertex,
 		env:              env,
-		mailbox:          make(chan mailEvent, mailboxSize),
+		mailbox:          make(chan types.CheckpointID, mailboxSize),
 		abort:            make(chan struct{}),
 		done:             make(chan struct{}),
 		store:            statestore.NewStore(),
@@ -262,7 +247,7 @@ func newTask(env *Runtime, vertex *Vertex, subtask int32) *Task {
 		fullSnapshotNext: true,
 	}
 	t.rebalanceCtr = t.store.Keyed("__rebalance")
-	t.timerSvc = timers.NewService(nil, t.onTimerFired)
+	t.timerSvc = timers.NewService(nil)
 
 	logging := cfg.Mode == ModeClonos && cfg.Guarantee != AtMostOnce
 	if logging {
@@ -301,9 +286,7 @@ func newTask(env *Runtime, vertex *Vertex, subtask int32) *Task {
 		svcCfg.SeedSource = services.SeededSource(cfg.ServiceSeed ^
 			(int64(vertex.ID)<<32 | int64(subtask) + 1))
 	}
-	t.svcs = services.New(svcCfg, logger, t, func(when int64) {
-		t.timerSvc.RegisterProc(timers.Timer{HandlerID: tsRefreshHandler, When: when})
-	})
+	t.svcs = services.New(svcCfg, logger, t, t.armRefresh)
 
 	outWaits, outWaitNs := poolWaitCounters(env.obs, vertex.Name, subtask, "output")
 	outStall := poolStallHistogram(env.obs, vertex.Name, subtask, "output")
@@ -363,8 +346,13 @@ func newTask(env *Runtime, vertex *Vertex, subtask int32) *Task {
 	return t
 }
 
-// graph returns the job graph.
-func (t *Task) graph() *Graph { return t.env.graph }
+// armRefresh registers the Timestamp service's cache-refresh timer. The
+// service calls it from operator code, on the main thread.
+//
+//clonos:mainthread
+func (t *Task) armRefresh(when int64) {
+	t.timerSvc.RegisterProc(timers.Timer{HandlerID: tsRefreshHandler, When: when})
+}
 
 // attachNetwork creates the input gate, replacing any previous (broken)
 // endpoints — the network-reconfiguration step of recovery (§6.2).
@@ -422,9 +410,11 @@ func (t *Task) restore(snap *checkpoint.TaskSnapshot) error {
 	if err := t.store.Restore(snap.State); err != nil {
 		return err
 	}
-	if err := t.timerSvc.Restore(snap.Timers); err != nil {
+	timerSvc := timers.NewService(nil)
+	if err := timerSvc.Restore(snap.Timers); err != nil {
 		return err
 	}
+	t.timerSvc = timerSvc
 	t.rebalanceCtr = t.store.Keyed("__rebalance")
 	t.epoch = snap.Checkpoint + 1
 	t.offset = 0
@@ -508,7 +498,6 @@ func (t *Task) start() {
 	}
 	t.registerGauges()
 	t.state.Store(int32(stateRunning))
-	t.timerSvc.Start()
 	go t.run()
 }
 
@@ -532,18 +521,10 @@ func (t *Task) Next(kind causal.Kind) (causal.Determinant, error) {
 	return d, nil
 }
 
-// onTimerFired runs on the timer thread: enqueue into the mailbox.
-func (t *Task) onTimerFired(tm timers.Timer) {
-	select {
-	case t.mailbox <- mailEvent{kind: mailTimer, timer: tm}:
-	case <-t.abort:
-	}
-}
-
 // TriggerCheckpoint delivers the coordinator's RPC (sources only).
 func (t *Task) TriggerCheckpoint(cp types.CheckpointID) {
 	select {
-	case t.mailbox <- mailEvent{kind: mailRPC, cp: cp}:
+	case t.mailbox <- cp:
 	case <-t.abort:
 	}
 }
@@ -598,7 +579,6 @@ func (t *Task) crash() {
 	for _, d := range t.desers {
 		d.Close()
 	}
-	t.timerSvc.Stop()
 	select {
 	case t.env.crashWake <- struct{}{}:
 	default: // a wake-up is pending already; one pass declares every death
@@ -641,7 +621,8 @@ func (t *Task) crashPoint(point string) bool {
 
 // idlePark is how long an idle main loop parks with no output waiting: a
 // lost-wake-up safety net, not a polling interval — every input arrival
-// and mailbox event wakes the loop on its own.
+// wakes the loop on its own, and a pending timer caps the park at its
+// deadline.
 const idlePark = 100 * time.Millisecond
 
 // cutAtIdle runs when the main loop has drained every input queue and is
@@ -845,7 +826,6 @@ func (t *Task) run() {
 		// caught up.
 		t.finishRecoverySpan()
 	}
-	t.timerSvc.SetLive(true)
 	if t.vertex.Source != nil {
 		t.runSourceLive()
 	} else {
@@ -911,11 +891,8 @@ func (t *Task) runLive() {
 				return
 			}
 		}
-		select {
-		case ev := <-t.mailbox:
-			t.handleMail(ev)
-			continue
-		default:
+		if t.fireDueTimers() {
+			return
 		}
 		if idx, m, ok := t.gate.TryNext(); ok {
 			t.delivered[idx] = true
@@ -931,10 +908,12 @@ func (t *Task) runLive() {
 		if t.recSpan.Load() != nil && !t.gate.Replaying() {
 			t.finishRecoverySpan()
 		}
-		park := t.parkFor(min(t.cutAtIdle(), t.alignmentLeft()))
+		wait := min(t.cutAtIdle(), t.alignmentLeft())
+		if when, ok := t.timerSvc.NextProc(); ok {
+			wait = min(wait, time.Until(time.UnixMilli(when)))
+		}
+		park := t.parkFor(wait)
 		select {
-		case ev := <-t.mailbox:
-			t.handleMail(ev)
 		case <-t.gate.Ready():
 		case <-t.abort:
 			return
@@ -999,7 +978,7 @@ func (t *Task) runReplay() {
 			// log must continue the predecessor's at the same indices,
 			// or a second failure in the epoch finds replicas shifted.
 			t.causal.AppendTimer(d.Handler, d.Key, d.When, d.Offset)
-			t.fireTimer(tm)
+			t.chn.onProcTimer(tm)
 		case causal.KindRPC:
 			if t.vertex.Source == nil {
 				t.fail(fmt.Errorf("task %v: RPC determinant on non-source", t.id))
@@ -1699,53 +1678,55 @@ func (t *Task) buildSnapshot(cp types.CheckpointID) *checkpoint.TaskSnapshot {
 	return snap
 }
 
-// handleMail processes one asynchronous event on the main thread.
+// fireDueTimers fires every processing-time timer whose deadline has
+// passed, each logged first as a TIMER determinant at the current input
+// offset. The loops call it only where guided replay can re-fire a TIMER:
+// between input buffers, and a source between elements. Reports true when
+// the task crashed.
 //
 //clonos:mainthread
-func (t *Task) handleMail(ev mailEvent) {
-	switch ev.kind {
-	case mailTimer:
+func (t *Task) fireDueTimers() bool {
+	for _, tm := range t.timerSvc.Due() {
 		if t.crashPoint(faultinject.PointTimerFiring) {
-			return
+			return true
 		}
 		if t.causal != nil {
-			t.causal.AppendTimer(ev.timer.HandlerID, ev.timer.Key, ev.timer.When, t.offset)
+			t.causal.AppendTimer(tm.HandlerID, tm.Key, tm.When, t.offset)
 		}
-		t.fireTimer(ev.timer)
-	case mailRPC:
-		if t.crashPoint(faultinject.PointCheckpointRPC) {
-			return
+		if t.chn.onProcTimer(tm); t.crashed.Load() {
+			return true
 		}
-		if t.causal != nil {
-			t.causal.AppendRPC(ev.cp, t.offset)
-		}
-		t.snapshot(ev.cp)
 	}
+	return false
 }
 
-func (t *Task) fireTimer(tm timers.Timer) {
-	if tm.HandlerID == tsRefreshHandler {
-		if err := t.svcs.OnRefreshTimer(); err != nil {
-			t.fail(err)
-		}
+// handleRPC serves the coordinator's checkpoint trigger on a source's
+// main thread, logged as an RPC determinant at the current offset.
+//
+//clonos:mainthread
+func (t *Task) handleRPC(cp types.CheckpointID) {
+	if t.crashPoint(faultinject.PointCheckpointRPC) {
 		return
 	}
-	t.chn.onProcTimer(tm)
+	if t.causal != nil {
+		t.causal.AppendRPC(cp, t.offset)
+	}
+	t.snapshot(cp)
 }
 
 // runSourceLive drives a source vertex: poll the source, emit elements
-// one at a time (so RPC/TIMER offsets are exact), and serve the mailbox
-// between elements.
+// one at a time (so RPC/TIMER offsets are exact), and fire due timers and
+// serve checkpoint triggers between elements.
 //
 //clonos:mainthread
 func (t *Task) runSourceLive() {
 	for !t.crashed.Load() {
-		if t.loopTick() {
+		if t.loopTick() || t.fireDueTimers() {
 			return
 		}
 		select {
-		case ev := <-t.mailbox:
-			t.handleMail(ev)
+		case cp := <-t.mailbox:
+			t.handleRPC(cp)
 			continue
 		default:
 		}
@@ -1767,8 +1748,8 @@ func (t *Task) runSourceLive() {
 		t.cutAtIdle()
 		park := t.parkFor(time.Millisecond)
 		select {
-		case ev := <-t.mailbox:
-			t.handleMail(ev)
+		case cp := <-t.mailbox:
+			t.handleRPC(cp)
 		case <-t.abort:
 			return
 		case <-park:

@@ -5,10 +5,9 @@
 //	func TestMain(m *testing.M) { leakcheck.VerifyTestMain(m) }
 //
 // and after its tests pass, any goroutine still running that is not on
-// the known-benign list fails the package. Task main threads, spillers
-// and timer threads all own goroutines; a test that exits
-// without stopping them hides a shutdown bug that production teardown
-// (or the next recovery) would hit.
+// the known-benign list fails the package. Task main threads and spillers
+// own goroutines; a test that exits without stopping them hides a shutdown
+// bug that production teardown (or the next recovery) would hit.
 package leakcheck
 
 import (

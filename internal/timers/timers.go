@@ -1,7 +1,7 @@
 // Package timers implements a task's timer service: processing-time timers
-// driven by the wall clock on a dedicated thread (a source of
-// nondeterminism, captured by TIMER determinants) and event-time timers
-// fired deterministically by watermark advancement.
+// due by the wall clock, which the task's main thread fires between input
+// buffers (a source of nondeterminism, captured by TIMER determinants), and
+// event-time timers fired deterministically by watermark advancement.
 package timers
 
 import (
@@ -9,7 +9,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 )
 
@@ -92,83 +91,99 @@ func (s *set) all() []Timer {
 	return out
 }
 
-// Service manages a task's pending timers.
+// Service manages a task's pending timers. It belongs to the task's main
+// thread, which registers, fires, snapshots and restores them: no method
+// is safe to call from another goroutine.
 //
-// Processing-time timers fire from a dedicated goroutine via the fire
-// callback (the task routes this into its mailbox, serializing it with
-// record processing and logging a TIMER determinant). Event-time timers
-// fire synchronously from the main loop on watermark advancement and need
-// no determinant — watermarks are in-stream and replayed.
+// Processing-time timers are fired by the main thread between input
+// buffers (Due), where the task logs each firing as a TIMER determinant.
+// Event-time timers fire on watermark advancement and need no
+// determinant: watermarks are in-stream and replayed.
 type Service struct {
-	mu    sync.Mutex
 	proc  *set
 	event *set
 	clock func() int64
-	fire  func(Timer)
-	live  bool
-	stop  chan struct{}
-	// stopped latches Stop: a task's crash can land before its start()
-	// reaches Start, and that late Start must not spawn a thread nobody
-	// will ever stop.
-	stopped bool
-	wake    chan struct{}
-	done    sync.WaitGroup
+	// next is the earliest processing-time deadline, valid while !stale;
+	// hasNext is false when no processing-time timer is pending. A removal
+	// of the minimum marks it stale, and the next read rescans the set.
+	next    int64
+	hasNext bool
+	stale   bool
 }
 
 // NewService builds a timer service. clock returns the wall time in Unix
-// ms; fire is invoked from the timer thread for each due processing-time
-// timer while the service is live.
-func NewService(clock func() int64, fire func(Timer)) *Service {
+// ms; nil means the system clock.
+func NewService(clock func() int64) *Service {
 	if clock == nil {
 		clock = func() int64 { return time.Now().UnixMilli() }
 	}
-	return &Service{
-		proc:  newSet(),
-		event: newSet(),
-		clock: clock,
-		fire:  fire,
-		wake:  make(chan struct{}, 1),
-	}
+	return &Service{proc: newSet(), event: newSet(), clock: clock}
 }
 
 // RegisterProc arms a processing-time timer. Duplicate registrations are
 // idempotent.
 func (s *Service) RegisterProc(t Timer) {
-	s.mu.Lock()
-	added := s.proc.add(t)
-	s.mu.Unlock()
-	if added {
-		s.kick()
+	if s.proc.add(t) && !s.stale && (!s.hasNext || t.When < s.next) {
+		s.next, s.hasNext = t.When, true
 	}
+}
+
+// removed notes that a processing-time timer due at when left the set.
+func (s *Service) removed(when int64) {
+	if s.hasNext && when <= s.next {
+		s.stale = true
+	}
+}
+
+// NextProc returns the earliest pending processing-time deadline in Unix
+// ms, or false when none is pending.
+func (s *Service) NextProc() (int64, bool) {
+	if s.stale {
+		t, ok := s.proc.earliest()
+		s.next, s.hasNext, s.stale = t.When, ok, false
+	}
+	return s.next, s.hasNext
+}
+
+// Due removes and returns, in firing order, every processing-time timer
+// whose deadline has passed. It reads the clock only while a timer is
+// pending.
+func (s *Service) Due() []Timer {
+	next, ok := s.NextProc()
+	if !ok {
+		return nil
+	}
+	now := s.clock()
+	if next > now {
+		return nil
+	}
+	s.stale = true
+	return s.proc.due(now)
 }
 
 // TakeProc removes a pending processing-time timer during determinant
 // replay (the logged firing consumed it). Reports whether it was pending.
 func (s *Service) TakeProc(t Timer) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.proc.remove(t)
+	if !s.proc.remove(t) {
+		return false
+	}
+	s.removed(t.When)
+	return true
 }
 
 // RegisterEvent arms an event-time timer.
 func (s *Service) RegisterEvent(t Timer) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.event.add(t)
 }
 
 // CancelEvent disarms an event-time timer.
 func (s *Service) CancelEvent(t Timer) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.event.remove(t)
 }
 
 // AdvanceWatermark removes and returns, in deterministic order, all
 // event-time timers due at the given watermark.
 func (s *Service) AdvanceWatermark(wm int64) []Timer {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.event.due(wm)
 }
 
@@ -176,8 +191,6 @@ func (s *Service) AdvanceWatermark(wm int64) []Timer {
 // handler passes keep, in deterministic order. Tasks use it at
 // end-of-stream so bounded jobs flush pending processing-time windows.
 func (s *Service) DrainProc(keep func(Timer) bool) []Timer {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	var out []Timer
 	for t := range s.proc.items {
 		if keep == nil || keep(t) {
@@ -188,106 +201,20 @@ func (s *Service) DrainProc(keep func(Timer) bool) []Timer {
 	for _, t := range out {
 		delete(s.proc.items, t)
 	}
+	if len(out) > 0 {
+		s.removed(out[0].When)
+	}
 	return out
 }
 
 // PendingProc reports the number of armed processing-time timers.
 func (s *Service) PendingProc() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return len(s.proc.items)
 }
 
 // PendingEvent reports the number of armed event-time timers.
 func (s *Service) PendingEvent() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return len(s.event.items)
-}
-
-// SetLive toggles real firing. While not live (during causally guided
-// recovery) the timer thread parks and lets determinant replay drive
-// firings.
-func (s *Service) SetLive(live bool) {
-	s.mu.Lock()
-	s.live = live
-	s.mu.Unlock()
-	s.kick()
-}
-
-// Start launches the processing-time thread. It is a no-op while the
-// thread runs and after Stop.
-func (s *Service) Start() {
-	s.mu.Lock()
-	if s.stop != nil || s.stopped {
-		s.mu.Unlock()
-		return
-	}
-	s.stop = make(chan struct{})
-	stop := s.stop
-	s.done.Add(1) // under mu: a concurrent Stop must find the thread counted before it waits
-	s.mu.Unlock()
-	go s.run(stop)
-}
-
-// Stop terminates the processing-time thread and waits for it. Stop is
-// terminal: the service cannot be started again.
-func (s *Service) Stop() {
-	s.mu.Lock()
-	stop := s.stop
-	s.stop = nil
-	s.stopped = true
-	s.mu.Unlock()
-	if stop != nil {
-		close(stop)
-		s.done.Wait()
-	}
-}
-
-func (s *Service) kick() {
-	select {
-	case s.wake <- struct{}{}:
-	default:
-	}
-}
-
-func (s *Service) run(stop chan struct{}) {
-	defer s.done.Done()
-	const idle = 50 * time.Millisecond
-	for {
-		s.mu.Lock()
-		live := s.live
-		now := s.clock()
-		var fired []Timer
-		var wait time.Duration = idle
-		if live {
-			fired = s.proc.due(now)
-			if next, ok := s.proc.earliest(); ok {
-				if d := time.Duration(next.When-now) * time.Millisecond; d < wait {
-					wait = d
-				}
-			}
-		}
-		fire := s.fire
-		s.mu.Unlock()
-		if fire != nil {
-			for _, t := range fired {
-				fire(t)
-			}
-		}
-		if wait < time.Millisecond {
-			wait = time.Millisecond
-		}
-		timer := time.NewTimer(wait)
-		select {
-		case <-stop:
-			timer.Stop()
-			return
-		case <-s.wake:
-			timer.Stop()
-		case <-timer.C:
-		}
-	}
 }
 
 // Snapshot wire format: the processing-time set, then the event-time
@@ -343,9 +270,7 @@ func readSet(b []byte) (*set, []byte, error) {
 
 // Snapshot serializes all pending timers for inclusion in a checkpoint.
 func (s *Service) Snapshot() []byte {
-	s.mu.Lock()
 	proc, event := s.proc.all(), s.event.all()
-	s.mu.Unlock()
 	return appendSet(appendSet(make([]byte, 0, 2+16*(len(proc)+len(event))), proc), event)
 }
 
@@ -368,8 +293,7 @@ func (s *Service) Restore(b []byte) error {
 	if len(b) != 0 {
 		return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(b))
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.proc, s.event = proc, event
+	s.stale = true
 	return nil
 }

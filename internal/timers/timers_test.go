@@ -4,14 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"math"
-	"sync"
-	"sync/atomic"
+	"math/rand"
 	"testing"
-	"time"
 )
 
 func TestEventTimersFireOnWatermark(t *testing.T) {
-	s := NewService(nil, nil)
+	s := NewService(nil)
 	s.RegisterEvent(Timer{HandlerID: 1, Key: 1, When: 100})
 	s.RegisterEvent(Timer{HandlerID: 1, Key: 2, When: 200})
 	s.RegisterEvent(Timer{HandlerID: 2, Key: 1, When: 100})
@@ -33,7 +31,7 @@ func TestEventTimersFireOnWatermark(t *testing.T) {
 }
 
 func TestRegisterEventIdempotent(t *testing.T) {
-	s := NewService(nil, nil)
+	s := NewService(nil)
 	tm := Timer{HandlerID: 1, Key: 1, When: 10}
 	s.RegisterEvent(tm)
 	s.RegisterEvent(tm)
@@ -43,7 +41,7 @@ func TestRegisterEventIdempotent(t *testing.T) {
 }
 
 func TestCancelEvent(t *testing.T) {
-	s := NewService(nil, nil)
+	s := NewService(nil)
 	tm := Timer{HandlerID: 1, Key: 1, When: 10}
 	s.RegisterEvent(tm)
 	if !s.CancelEvent(tm) {
@@ -57,79 +55,8 @@ func TestCancelEvent(t *testing.T) {
 	}
 }
 
-func TestProcTimersFireWhenLive(t *testing.T) {
-	var now atomic.Int64
-	now.Store(1000)
-	var mu sync.Mutex
-	var fired []Timer
-	s := NewService(func() int64 { return now.Load() }, func(tm Timer) {
-		mu.Lock()
-		fired = append(fired, tm)
-		mu.Unlock()
-	})
-	s.Start()
-	defer s.Stop()
-	s.SetLive(true)
-	s.RegisterProc(Timer{HandlerID: 1, Key: 1, When: 1500})
-	time.Sleep(30 * time.Millisecond)
-	mu.Lock()
-	n := len(fired)
-	mu.Unlock()
-	if n != 0 {
-		t.Fatal("timer fired before deadline")
-	}
-	now.Store(1500)
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		mu.Lock()
-		n = len(fired)
-		mu.Unlock()
-		if n == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("timer never fired")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if s.PendingProc() != 0 {
-		t.Fatal("fired timer still pending")
-	}
-}
-
-func TestProcTimersSuppressedWhenNotLive(t *testing.T) {
-	var now atomic.Int64
-	now.Store(2000)
-	var count atomic.Int32
-	firedCh := make(chan struct{}, 4)
-	s := NewService(func() int64 { return now.Load() }, func(Timer) {
-		count.Add(1)
-		select {
-		case firedCh <- struct{}{}:
-		default:
-		}
-	})
-	s.Start()
-	defer s.Stop()
-	// Not live: overdue timers must not fire.
-	s.RegisterProc(Timer{HandlerID: 1, Key: 1, When: 1000})
-	time.Sleep(80 * time.Millisecond)
-	if count.Load() != 0 {
-		t.Fatal("timer fired while not live")
-	}
-	s.SetLive(true)
-	select {
-	case <-firedCh:
-	case <-time.After(2 * time.Second):
-		t.Fatal("timer never fired after SetLive")
-	}
-	if got := count.Load(); got != 1 {
-		t.Fatalf("timer fired %d times, want 1", got)
-	}
-}
-
 func TestTakeProcConsumesPending(t *testing.T) {
-	s := NewService(func() int64 { return 0 }, nil)
+	s := NewService(func() int64 { return 0 })
 	tm := Timer{HandlerID: 3, Key: 9, When: 50}
 	s.RegisterProc(tm)
 	if !s.TakeProc(tm) {
@@ -144,12 +71,12 @@ func TestTakeProcConsumesPending(t *testing.T) {
 }
 
 func TestSnapshotRestore(t *testing.T) {
-	s := NewService(func() int64 { return 0 }, nil)
+	s := NewService(func() int64 { return 0 })
 	s.RegisterProc(Timer{HandlerID: 1, Key: 1, When: 10})
 	s.RegisterProc(Timer{HandlerID: 1, Key: 2, When: 20})
 	s.RegisterEvent(Timer{HandlerID: 2, Key: 3, When: 30})
 	snap := s.Snapshot()
-	s2 := NewService(func() int64 { return 0 }, nil)
+	s2 := NewService(func() int64 { return 0 })
 	if err := s2.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +92,7 @@ func TestSnapshotRestore(t *testing.T) {
 }
 
 func TestRestoreEmpty(t *testing.T) {
-	s := NewService(nil, nil)
+	s := NewService(nil)
 	s.RegisterProc(Timer{HandlerID: 1, Key: 1, When: 10})
 	if err := s.Restore(nil); err != nil {
 		t.Fatal(err)
@@ -175,37 +102,131 @@ func TestRestoreEmpty(t *testing.T) {
 	}
 }
 
-func TestStartStopIdempotent(t *testing.T) {
-	s := NewService(nil, nil)
-	s.Start()
-	s.Start() // second start is a no-op
-	s.Stop()
-	s.Stop() // second stop is a no-op
+// TestProcDeadlineTracksSet drives random sequences of RegisterProc,
+// TakeProc, Due, DrainProc and Restore against a model set. After every
+// step the cached next deadline must equal a scan of the pending timers,
+// and every Due must return exactly the timers at or before the clock, in
+// firing order. The narrow-deadline rows give many timers one deadline,
+// as one processing-time window over many keys does.
+func TestProcDeadlineTracksSet(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		seed        int64
+		handlers    int32
+		keys, whens int
+		steps       int
+	}{
+		{"sparse", 1, 2, 64, 1000, 4000},
+		{"one window", 2, 1, 256, 2, 4000},
+		{"few deadlines", 3, 3, 16, 8, 4000},
+		{"tiny", 4, 1, 2, 3, 2000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(tc.seed))
+			var now int64
+			s := NewService(func() int64 { return now })
+			model := map[Timer]bool{}
+			random := func() Timer {
+				return Timer{HandlerID: rng.Int31n(tc.handlers) - 1, Key: uint64(rng.Intn(tc.keys)), When: int64(rng.Intn(tc.whens))}
+			}
+			for step := 0; step < tc.steps; step++ {
+				var op string
+				switch r := rng.Intn(100); {
+				case r < 55:
+					op = "register"
+					tm := random()
+					s.RegisterProc(tm)
+					model[tm] = true
+				case r < 75:
+					op = "take"
+					tm := random()
+					if got := s.TakeProc(tm); got != model[tm] {
+						t.Fatalf("step %d: TakeProc(%v) = %v, model says %v", step, tm, got, model[tm])
+					}
+					delete(model, tm)
+				case r < 92:
+					op = "due"
+					now = int64(rng.Intn(tc.whens)) - 1
+					got := s.Due()
+					var want []Timer
+					for tm := range model {
+						if tm.When <= now {
+							want = append(want, tm)
+							delete(model, tm)
+						}
+					}
+					if len(got) != len(want) {
+						t.Fatalf("step %d: Due at %d returned %d timers, want %d", step, now, len(got), len(want))
+					}
+					for i := range got {
+						if i > 0 && !less(got[i-1], got[i]) {
+							t.Fatalf("step %d: Due out of firing order: %v before %v", step, got[i-1], got[i])
+						}
+						if got[i].When > now {
+							t.Fatalf("step %d: Due at %d returned %v", step, now, got[i])
+						}
+					}
+				case r < 97:
+					op = "drain"
+					handler := rng.Int31n(tc.handlers) - 1
+					for _, tm := range s.DrainProc(func(tm Timer) bool { return tm.HandlerID == handler }) {
+						if !model[tm] || tm.HandlerID != handler {
+							t.Fatalf("step %d: DrainProc returned %v", step, tm)
+						}
+						delete(model, tm)
+					}
+				default:
+					op = "restore"
+					other := NewService(nil)
+					model = map[Timer]bool{}
+					for i := rng.Intn(8); i > 0; i-- {
+						tm := random()
+						other.RegisterProc(tm)
+						model[tm] = true
+					}
+					if err := s.Restore(other.Snapshot()); err != nil {
+						t.Fatal(err)
+					}
+				}
+				next, ok := s.NextProc()
+				if ok != (len(model) > 0) || ok && next != minWhen(model) {
+					t.Fatalf("step %d (%s): NextProc = %d, %v; %d pending, earliest %d", step, op, next, ok, len(model), minWhen(model))
+				}
+				if s.PendingProc() != len(model) {
+					t.Fatalf("step %d (%s): %d pending, model holds %d", step, op, s.PendingProc(), len(model))
+				}
+			}
+		})
+	}
 }
 
-// TestStartAfterStopIsNoOp pins Stop as terminal: a task's crash can run
-// Stop before its start() reaches Start, and a thread spawned by that
-// late Start would have nobody left to stop it.
-func TestStartAfterStopIsNoOp(t *testing.T) {
-	running := func(s *Service) bool {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return s.stop != nil
+// minWhen scans for the earliest deadline (0 for no timers).
+func minWhen(m map[Timer]bool) int64 {
+	first, best := true, int64(0)
+	for tm := range m {
+		if first || tm.When < best {
+			first, best = false, tm.When
+		}
 	}
-	s := NewService(nil, nil)
-	s.Stop()
-	s.Start()
-	if running(s) {
-		s.Stop()
-		t.Fatal("Start after Stop launched the timer thread")
+	return best
+}
+
+// TestDueReadsClockOnlyWhenPending pins the cost of the per-buffer check
+// on a task with no processing-time timer: no clock read at all.
+func TestDueReadsClockOnlyWhenPending(t *testing.T) {
+	reads := 0
+	s := NewService(func() int64 { reads++; return 100 })
+	if s.Due() != nil || reads != 0 {
+		t.Fatalf("Due with nothing pending read the clock %d times", reads)
 	}
-	s = NewService(nil, nil)
-	s.Start()
-	s.Stop()
-	s.Start()
-	if running(s) {
-		s.Stop()
-		t.Fatal("Start after Start+Stop relaunched the timer thread")
+	s.RegisterEvent(Timer{HandlerID: 1, When: 5})
+	s.RegisterProc(Timer{HandlerID: 1, When: 200})
+	if s.Due() != nil || reads != 1 {
+		t.Fatalf("Due before the deadline: %d clock reads, want 1", reads)
+	}
+	s.RegisterProc(Timer{HandlerID: 2, When: 100})
+	if got := s.Due(); len(got) != 1 || got[0].HandlerID != 2 {
+		t.Fatalf("Due at the deadline = %v", got)
 	}
 }
 
@@ -220,7 +241,7 @@ func populated(perm []int) *Service {
 		{HandlerID: math.MinInt32, Key: 300, When: math.MinInt64},
 	}
 	event := []Timer{{HandlerID: 2, Key: 3, When: 30}, {HandlerID: 2, Key: 70000, When: -5}, {HandlerID: 7, Key: 3, When: 30}}
-	s := NewService(func() int64 { return 0 }, nil)
+	s := NewService(func() int64 { return 0 })
 	for _, i := range perm {
 		s.RegisterProc(proc[i])
 		if i < len(event) {
@@ -239,7 +260,7 @@ func TestSnapshotBytesDeterministic(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatalf("registration order shows in the snapshot:\n% x\n% x", a, b)
 	}
-	restored := NewService(nil, nil)
+	restored := NewService(nil)
 	if err := restored.Restore(a); err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +270,7 @@ func TestSnapshotBytesDeterministic(t *testing.T) {
 	if again := restored.Snapshot(); !bytes.Equal(a, again) {
 		t.Fatalf("snapshot → restore → snapshot changed the bytes:\n% x\n% x", a, again)
 	}
-	if empty := NewService(nil, nil).Snapshot(); len(empty) > 2 {
+	if empty := NewService(nil).Snapshot(); len(empty) > 2 {
 		t.Fatalf("a service with no timers encodes in %d bytes, want <= 2", len(empty))
 	}
 }
@@ -263,7 +284,7 @@ func TestSnapshotBytesDeterministic(t *testing.T) {
 func TestRestoreDamagedSnapshot(t *testing.T) {
 	img := populated([]int{0, 1, 2, 3, 4}).Snapshot()
 	for cut := 1; cut < len(img); cut++ {
-		if err := NewService(nil, nil).Restore(img[:cut:cut]); !errors.Is(err, ErrCorrupt) {
+		if err := NewService(nil).Restore(img[:cut:cut]); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("cut at %d/%d: %v, want ErrCorrupt", cut, len(img), err)
 		}
 	}
@@ -276,7 +297,7 @@ func TestRestoreDamagedSnapshot(t *testing.T) {
 		switch err := s.Restore(damaged); {
 		case err == nil:
 			accepted++
-			got, back := s.Snapshot(), NewService(nil, nil)
+			got, back := s.Snapshot(), NewService(nil)
 			if err := back.Restore(got); err != nil || !bytes.Equal(back.Snapshot(), got) {
 				t.Fatalf("bit %d: accepted into a service that does not restore to itself (err %v)", bit, err)
 			}
@@ -295,7 +316,7 @@ func TestRestoreDamagedSnapshot(t *testing.T) {
 		"duplicate":      {2, 2, 1, 20, 2, 1, 20, 0},
 		"missing events": {0},
 	} {
-		if err := NewService(nil, nil).Restore(b); !errors.Is(err, ErrCorrupt) {
+		if err := NewService(nil).Restore(b); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: %v, want ErrCorrupt", name, err)
 		}
 	}
